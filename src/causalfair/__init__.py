@@ -3,7 +3,7 @@
 Submodules:
   scm       structural causal models and path-specific counterfactual sampling
   dist      finite joint distributions over binned covariates and outcomes
-  linprog   dense two-phase simplex for box-bounded linear programs
+  linprog   bounded-variable two-phase simplex for box-bounded linear programs
   fairness  fairness definitions compiled to LP rows, and the optimizer
   pareto    threshold policies, frontier sweep, dominance measurement
   markov    recurrent-class structure of counterfactual transition chains

@@ -63,3 +63,7 @@ class HypothesisViolation(CausalFairError):
 
 class ConfigError(CausalFairError):
     """The experiment configuration failed validation."""
+
+
+class SolverError(CausalFairError):
+    """The LP solver failed: iteration limit, or a result that violates its rows."""

@@ -10,7 +10,6 @@ residuals at the level of float rounding on every row.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,7 +260,6 @@ def solve_fair(
     lam: float,
     b: float,
     tol: float = 1e-9,
-    workers: int | None = None,
 ) -> FairPolicyResult:
     """Maximize expected utility subject to the budget and a fairness kind.
 
@@ -318,18 +316,10 @@ def solve_fair(
 
     grid = _cpp_grid(dist.outcome_mass.shape[1], spec.grid_step)
 
-    def solve_point(C):
-        rows = cpp_rows(dist, C)
-        return C, rows, run_lp([rows])
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(solve_point, grid))
-    else:
-        outcomes = [solve_point(C) for C in grid]
-
     best = None
-    for C, rows, sol in outcomes:  # grid order is lexicographic
+    for C in grid:  # grid order is lexicographic
+        rows = cpp_rows(dist, C)
+        sol = run_lp([rows])
         if sol.status != "Optimal" or sol.phase1_residual > _CPP_FEAS_TOL:
             continue
         if best is None or sol.objective > best[2].objective:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from causalfair import cli
+import causalfair
+from causalfair import cli, linprog
 from causalfair.errors import ConfigError
 
 
@@ -190,3 +195,35 @@ class TestSubcommands:
         )
         out = tmp_path / "out"
         assert cli.main(["--config", str(cfg_path), "--out", str(out), "run"]) == 0
+
+    def test_solver_failure_is_structured(self, tmp_path, capsys, monkeypatch):
+        # A simplex that returns a point off its bounds must be caught by the
+        # solver's check and reported as JSON, not as a traceback.
+        real = linprog._run_simplex
+
+        def drifting(T, x, *args):
+            real(T, x, *args)
+            x += 1e-6
+
+        monkeypatch.setattr(linprog, "_run_simplex", drifting)
+        rc = cli.main(["--config", str(tiny_config(tmp_path)), "--out", str(tmp_path / "o"), "run"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SolverError"
+        assert "violates" in err["message"]
+
+    def test_run_does_not_import_scipy(self, tmp_path):
+        # scipy.optimize alone adds about 49 MB of peak memory to a run.
+        cfg = tiny_config(tmp_path)
+        script = (
+            "import sys; from causalfair import cli; "
+            f"assert cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}, 'run']) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(causalfair.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

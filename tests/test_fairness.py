@@ -259,16 +259,6 @@ class TestSolveFair:
         assert fine.objective >= coarse.objective - 1e-9
         assert fine.grid_point is not None
 
-    def test_cpp_workers_match_sequential(self):
-        rng = np.random.default_rng(13)
-        d = random_dist(rng, with_cf=False)
-        seq = solve_fair(d, FairnessSpec(kind="CPP", grid_step=0.1), lam=0.25, b=0.5)
-        par = solve_fair(
-            d, FairnessSpec(kind="CPP", grid_step=0.1), lam=0.25, b=0.5, workers=4
-        )
-        assert seq.grid_point == par.grid_point
-        np.testing.assert_array_equal(seq.policy.d, par.policy.d)
-
     def test_cpp_infeasible_when_rates_differ_and_no_budget(self):
         # Unequal group outcome rates with a tiny budget: rejecting nearly
         # everyone forces the rejected pool to mirror each group's own rate,

@@ -2,8 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog as scipy_linprog
 
-from causalfair.linprog import LinearProgram, LpSolution, solve
+from causalfair.dist import from_table, utility_table
+from causalfair.fairness import KINDS, FairnessSpec, budget_row, constraint_sets, solve_fair
+from causalfair.linprog import CHECK_TOL, LinearProgram, LpSolution, solve
 
 
 def brute_force_box(lp, step=0.05):
@@ -163,3 +168,106 @@ class TestConstantPolicyFeasibility:
         sol = solve(lp)
         assert sol.status == "Optimal"
         assert sol.phase1_residual <= 1e-12
+
+
+@st.composite
+def small_lps(draw):
+    """LPs with integer data and half-integer right-hand sides.
+
+    Small integer data keeps infeasible instances far from feasible
+    compared with solver tolerances, so the status cannot hinge on them.
+    Bounds may be negative, wider than one or fixed; right-hand sides of
+    half the rows are taken at a point of the box so that equality
+    systems are feasible often enough.
+    """
+    n = draw(st.integers(1, 5))
+    ints = st.integers(-4, 4)
+    lo = np.array(draw(st.lists(st.integers(-3, 2), min_size=n, max_size=n)), dtype=float)
+    width = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    point = lo + width * np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n)))
+    c = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=float)
+
+    def block(max_rows, slack):
+        m = draw(st.integers(0, max_rows))
+        a = np.array(draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m)),
+                     dtype=float).reshape(m, n)
+        free = np.array(draw(st.lists(st.integers(-8, 8), min_size=m, max_size=m)), dtype=float) / 2
+        at_point = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+        return a, np.where(at_point, a @ point + slack, free)
+
+    a_eq, b_eq = block(3, 0.0)
+    a_ub, b_ub = block(3, draw(st.sampled_from([0.0, 0.5])))
+    bounds = np.column_stack([lo, lo + width])
+    return LinearProgram(objective=c, eq_rows=(a_eq, b_eq), ub_rows=(a_ub, b_ub), bounds=bounds)
+
+
+class TestAgainstHighs:
+    @settings(max_examples=300, deadline=None)
+    @given(small_lps())
+    def test_status_and_objective_match(self, lp):
+        a_eq, b_eq = lp.eq_rows
+        a_ub, b_ub = lp.ub_rows
+        ref = scipy_linprog(
+            -lp.objective,
+            A_ub=a_ub if len(b_ub) else None,
+            b_ub=b_ub if len(b_ub) else None,
+            A_eq=a_eq if len(b_eq) else None,
+            b_eq=b_eq if len(b_eq) else None,
+            bounds=lp.bounds,
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        )
+        assert ref.status in (0, 2)  # optimal or infeasible; the box rules out unbounded
+        sol = solve(lp)
+        assert sol.status == ("Optimal" if ref.status == 0 else "Infeasible")
+        if ref.status == 0:
+            assert sol.objective == pytest.approx(-ref.fun, abs=1e-9)
+            x = sol.values
+            assert np.all(x >= lp.bounds[:, 0] - CHECK_TOL)
+            assert np.all(x <= lp.bounds[:, 1] + CHECK_TOL)
+            assert np.abs(a_eq @ x - b_eq).max(initial=0.0) <= CHECK_TOL
+            assert (a_ub @ x - b_ub).max(initial=0.0) <= CHECK_TOL
+
+
+@st.composite
+def small_distributions(draw):
+    """Two groups, a few score bins, every (Y(0), Y(1)) cell; random masses and
+    row-stochastic counterfactual transitions."""
+    n_bins = draw(st.integers(1, 4))
+    weights = st.floats(0.05, 1.0)
+    rows = [
+        (g, k, y0, y1, draw(weights))
+        for g in (0, 1)
+        for k in range(n_bins)
+        for y0 in (0, 1)
+        for y1 in (0, 1)
+    ]
+    dist = from_table(rows)
+    dist.cf_mass = {}
+    for aprime in (0, 1):
+        flat = draw(st.lists(weights, min_size=dist.n * dist.n, max_size=dist.n * dist.n))
+        mat = np.array(flat).reshape(dist.n, dist.n)
+        dist.cf_mass[aprime] = mat / mat.sum(axis=1, keepdims=True) * dist.mass[:, None]
+    dist.validate()
+    return dist
+
+
+class TestConstantPolicyProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(small_distributions(), st.floats(0.1, 0.9), st.floats(0.0, 1.0))
+    def test_constant_policy_feasible_and_below_optimum(self, dist, b, lam):
+        # CPP is left out: d = b meets its rows only when every group has the
+        # same Y(1) distribution, which random masses almost never give.
+        d = np.full(dist.n, b)
+        p_row, b_val = budget_row(dist, b)
+        assert p_row @ d <= b_val + 1e-12
+        value = float(utility_table(dist, lam).u * dist.mass @ d)
+        for kind in KINDS:
+            if kind == "CPP":
+                continue
+            spec = FairnessSpec(kind=kind)
+            for rows in constraint_sets(dist, spec):
+                assert np.abs(rows.a @ d - rows.rhs).max(initial=0.0) <= 1e-12
+            res = solve_fair(dist, spec, lam=lam, b=b)
+            assert res.status == "Optimal"
+            assert value <= res.objective + 1e-9
