@@ -12,7 +12,7 @@ Submodules:
 """
 
 from . import betafair, dist, errors, fairness, linprog, markov, pareto, scm
-from .fairness import FairnessSpec, FairPolicyOptimizer, solve_fair
+from .fairness import FairnessSpec, solve_fair
 from .pareto import Policy, dominance_gap, frontier
 
 __version__ = "0.1.0"
@@ -27,7 +27,6 @@ __all__ = [
     "betafair",
     "errors",
     "FairnessSpec",
-    "FairPolicyOptimizer",
     "solve_fair",
     "Policy",
     "dominance_gap",

@@ -41,8 +41,6 @@ _DEFAULTS = {
     "output": {"directory": ".", "population": 100000},
 }
 
-RUN_KINDS = ("none", "CF", "PSF", "CEO", "CPF", "CPP", "EO")
-
 
 def load_config(path=None, overrides=None):
     raw = {}
@@ -239,7 +237,7 @@ def run(config, out_dir):
 
     definitions = {}
     policies = {}
-    for kind in RUN_KINDS:
+    for kind in KINDS:
         target = d_all if kind == "CF" else d_pi
         result = solve_fair(target, _spec_for(kind, pol), lam=lam, b=b)
         entry = {"status": result.status}

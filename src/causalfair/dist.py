@@ -17,6 +17,7 @@ import numpy as np
 
 from . import scm as scm_mod
 from .errors import (
+    DomainError,
     EmptyInputError,
     InconsistentMassError,
     NegativeMassError,
@@ -135,56 +136,93 @@ def build_distribution(
     ``cf`` maps each target group value to a pair of arrays (counterfactual
     group component, counterfactual bin) aligned with the factual draws, so
     counterfactual masses are joint frequencies computed from the same draw.
+
+    Each (group, bin) cell gets the dense integer key
+    ``(g - g_lo) * span + (b - b_lo)``, where ``g_lo`` and ``b_lo`` are the
+    smallest factual group and bin and ``span`` is the factual bin range, so
+    ascending keys are the (group, bin) order of the support and every mass
+    is one ``np.bincount``. The key table has one entry per cell of the
+    factual G x span range (``Binning`` bounds span by its bin count).
+
+    Counterfactual draws can land in a cell never observed factually (a
+    finite-sample tail artifact). A snap table over the same cells sends each
+    one to the nearest factually observed bin in the same group, ties to the
+    smaller bin, so row sums stay exact; bins outside the factual range snap
+    like the range's end bins. A counterfactual group with no factual draws
+    raises ``EmptyInputError``, and an outcome value missing from
+    ``outcomes`` raises ``DomainError``.
     """
     n_draws = len(group)
     if n_draws == 0:
         raise EmptyInputError("no draws")
-    outcome_index = {y: j for j, y in enumerate(outcomes)}
     k = len(outcomes)
+    group = np.asarray(group, dtype=np.int64)
+    bin_index = np.asarray(bin_index, dtype=np.int64)
 
-    keys = np.stack([group, bin_index], axis=1)
-    support, inverse = np.unique(keys, axis=0, return_inverse=True)
-    n = len(support)
+    g_lo, b_lo, b_hi = int(group.min()), int(bin_index.min()), int(bin_index.max())
+    n_groups, span = int(group.max()) - g_lo + 1, b_hi - b_lo + 1
+    cell = (group - g_lo) * span + (bin_index - b_lo)
+    observed = np.flatnonzero(np.bincount(cell, minlength=n_groups * span))
+    n = len(observed)
+    point = np.full(n_groups * span, -1, dtype=np.int64)
+    point[observed] = np.arange(n)
+    inverse = point[cell]
 
-    counts = np.bincount(inverse, minlength=n).astype(np.float64)
-    om_counts = np.zeros((n, k, k))
-    j0 = np.array([outcome_index[v] for v in np.asarray(y0).tolist()])
-    j1 = np.array([outcome_index[v] for v in np.asarray(y1).tolist()])
-    np.add.at(om_counts, (inverse, j0, j1), 1.0)
+    counts = np.bincount(inverse, minlength=n)
+    flat = (inverse * k + _outcome_index(y0, outcomes)) * k + _outcome_index(y1, outcomes)
+    om_counts = np.bincount(flat, minlength=n * k * k).reshape(n, k, k)
 
-    point_of = {(int(g), int(b)): i for i, (g, b) in enumerate(support)}
-    # Counterfactual draws can land in a (group, bin) cell never observed
-    # factually (a finite-sample tail artifact); snap those to the nearest
-    # factually observed bin in the same group so row sums stay exact.
-    by_group = {}
-    for i, (g, b) in enumerate(support):
-        by_group.setdefault(int(g), []).append((int(b), i))
-
-    def locate(g, b):
-        hit = point_of.get((g, b))
-        if hit is not None:
-            return hit
-        candidates = by_group.get(g)
-        if not candidates:
-            raise EmptyInputError(f"counterfactual group {g} never observed factually")
-        return min(candidates, key=lambda pair: (abs(pair[0] - b), pair[0]))[1]
-
+    snap = _snap_table(point.reshape(n_groups, span))
     cf_mass = {}
     for aprime, (cf_group, cf_bin) in cf.items():
-        mat = np.zeros((n, n))
-        cols = np.array([locate(int(g), int(b)) for g, b in zip(cf_group, cf_bin)])
-        np.add.at(mat, (inverse, cols), 1.0)
-        cf_mass[aprime] = mat / n_draws
+        cf_group = np.asarray(cf_group, dtype=np.int64) - g_lo
+        in_range = (cf_group >= 0) & (cf_group < n_groups)
+        cf_cell = np.clip(cf_group, 0, n_groups - 1) * span + np.clip(cf_bin, b_lo, b_hi) - b_lo
+        cols = np.where(in_range, snap[cf_cell], -1)
+        if np.any(cols < 0):
+            g = int(cf_group[np.argmax(cols < 0)]) + g_lo
+            raise EmptyInputError(f"counterfactual group {g} never observed factually")
+        cf_mass[aprime] = np.bincount(inverse * n + cols, minlength=n * n).reshape(n, n) / n_draws
 
     return FiniteJointDistribution(
-        group=support[:, 0],
-        bin=support[:, 1],
+        group=observed // span + g_lo,
+        bin=observed % span + b_lo,
         mass=counts / n_draws,
         outcome_mass=om_counts / n_draws,
         outcomes=tuple(outcomes),
         cf_mass=cf_mass,
         groups=tuple(groups),
     )
+
+
+def _outcome_index(y, outcomes) -> np.ndarray:
+    """Position of each draw's value in ``outcomes``; unknown values raise."""
+    y = np.asarray(y)
+    index = np.full(y.shape, -1, dtype=np.int64)
+    for j, value in enumerate(outcomes):
+        index[y == value] = j
+    if np.any(index < 0):
+        missing = y[np.argmax(index < 0)].item()
+        raise DomainError(f"outcome value {missing!r} not in outcomes {tuple(outcomes)}")
+    return index
+
+
+def _snap_table(grid: np.ndarray) -> np.ndarray:
+    """Flattened support index of the nearest observed bin in each cell's group.
+
+    ``grid[g, b]`` is the support index of cell (g, b), or -1 when the cell
+    was never observed. An unobserved cell takes the closer of the nearest
+    observed bins to its left and right, the left one on a tie; every cell of
+    a group with no observed bin stays -1.
+    """
+    span = grid.shape[1]
+    pos = np.arange(span)
+    seen = grid >= 0
+    left = np.maximum.accumulate(np.where(seen, pos, -1), axis=1)
+    right = np.minimum.accumulate(np.where(seen, pos, span)[:, ::-1], axis=1)[:, ::-1]
+    use_left = (left >= 0) & ((right == span) | (pos - left <= right - pos))
+    nearest = np.where(use_left, left, np.minimum(right, span - 1))
+    return np.take_along_axis(grid, nearest, axis=1).ravel()
 
 
 def discretize(

@@ -30,7 +30,6 @@ __all__ = [
     "eo_rows",
     "solve_fair",
     "residual_report",
-    "FairPolicyOptimizer",
     "KINDS",
 ]
 
@@ -381,50 +380,3 @@ def residual_report(dist: FiniteJointDistribution, policy: Policy, b: float, ome
     )
     return report
 
-
-class FairPolicyOptimizer:
-    """Estimator-style wrapper around ``solve_fair``.
-
-    Parameters mirror ``FairnessSpec`` plus the budget and utility weight;
-    ``fit`` consumes a ``FiniteJointDistribution`` and stores the result on
-    ``result_`` and the policy vector on ``policy_``.
-    """
-
-    def __init__(self, kind="none", lam=0.25, b=0.5, omega=None, grid_step=0.01,
-                 status_quo="always-treat", tol=1e-9):
-        self.kind = kind
-        self.lam = lam
-        self.b = b
-        self.omega = omega
-        self.grid_step = grid_step
-        self.status_quo = status_quo
-        self.tol = tol
-
-    def get_params(self, deep=True):
-        return {
-            "kind": self.kind,
-            "lam": self.lam,
-            "b": self.b,
-            "omega": self.omega,
-            "grid_step": self.grid_step,
-            "status_quo": self.status_quo,
-            "tol": self.tol,
-        }
-
-    def set_params(self, **params):
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, dist, y=None):
-        spec = FairnessSpec(
-            kind=self.kind,
-            omega=self.omega,
-            grid_step=self.grid_step,
-            status_quo=self.status_quo,
-        )
-        self.result_ = solve_fair(dist, spec, lam=self.lam, b=self.b, tol=self.tol)
-        self.policy_ = None if self.result_.policy is None else self.result_.policy.d
-        return self

@@ -80,29 +80,31 @@ def threshold_policy(
     for a, q in quantiles.items():
         if not 0 <= q <= 1:
             raise ValueError(f"quantile for group {a} outside [0, 1]")
-        sel = dist.group == a
-        total = float(dist.mass[sel].sum())
-        if total <= 0:
-            raise GroupMassZeroError(f"group {a} has no mass")
-        u = utility.u[sel]
-        w = dist.mass[sel] / total
-        if q == 0:
-            thresholds[a] = np.inf
-            at_threshold[a] = 0.0
-            continue
-        # Aggregate atoms at equal utility, highest first.
-        values, inv = np.unique(-u, return_inverse=True)
-        values = -values
-        atom_w = np.zeros(len(values))
-        np.add.at(atom_w, inv, w)
-        cum_excl = np.concatenate([[0.0], np.cumsum(atom_w)[:-1]])
-        cum_incl = cum_excl + atom_w
-        j = int(np.searchsorted(cum_incl, q - 1e-15))
-        if j >= len(values):
-            j = len(values) - 1
-        thresholds[a] = float(values[j])
-        at_threshold[a] = float(np.clip((q - cum_excl[j]) / atom_w[j], 0.0, 1.0))
+        thresholds[a], at_threshold[a] = _cutoff(_utility_atoms(dist, utility, a), q)
     return ThresholdPolicy(thresholds=thresholds, at_threshold=at_threshold)
+
+
+def _utility_atoms(dist: FiniteJointDistribution, utility: UtilityTable, a):
+    """Group ``a``'s distinct utilities, highest first, with their conditional
+    masses and the cumulative mass before and through each of them."""
+    sel = dist.group == a
+    total = float(dist.mass[sel].sum())
+    if total <= 0:
+        raise GroupMassZeroError(f"group {a} has no mass")
+    values, inv = np.unique(-utility.u[sel], return_inverse=True)
+    atom_w = np.zeros(len(values))
+    np.add.at(atom_w, inv, dist.mass[sel] / total)
+    cum_excl = np.concatenate([[0.0], np.cumsum(atom_w)[:-1]])
+    return -values, atom_w, cum_excl, cum_excl + atom_w
+
+
+def _cutoff(atoms, q: float):
+    """(threshold, at-threshold probability) that admit the rate ``q``."""
+    if q == 0:
+        return np.inf, 0.0
+    values, atom_w, cum_excl, cum_incl = atoms
+    j = min(int(np.searchsorted(cum_incl, q - 1e-15)), len(values) - 1)
+    return float(values[j]), float(np.clip((q - cum_excl[j]) / atom_w[j], 0.0, 1.0))
 
 
 def induced_policy(
@@ -147,15 +149,21 @@ def frontier(dist: FiniteJointDistribution, b: float, resolution: int = 200):
     u0 = utility_table(dist, lam=0.0)
     p1 = dist.group_mass(1)
     p0 = dist.group_mass(0)
+    # Sort each group's utilities once; every share only moves the cutoffs.
+    atoms = {a: _utility_atoms(dist, u0, a) for a in (0, 1)}
+    target = dist.group == 1
 
     raw = []
     for k in range(resolution + 1):
         s = k / resolution
         q1 = min(1.0, s * b / p1)
         q0 = min(1.0, (1.0 - s) * b / p0)
-        tp = threshold_policy(dist, u0, {0: q0, 1: q1})
-        pol = induced_policy(dist, u0, tp)
-        diversity, graduation = evaluate_policy(pol, dist)
+        (t0, at0), (t1, at1) = _cutoff(atoms[0], q0), _cutoff(atoms[1], q1)
+        tp = ThresholdPolicy(thresholds={0: t0, 1: t1}, at_threshold={0: at0, 1: at1})
+        # evaluate_policy's coordinates, with r computed once per sweep.
+        weighted = induced_policy(dist, u0, tp).d * dist.mass
+        diversity = float(np.sum(weighted * target))
+        graduation = float(np.sum(weighted * u0.r))
         raw.append((s, q0, q1, diversity, graduation))
 
     grads = np.array([g for *_, g in raw])

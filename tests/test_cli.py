@@ -11,6 +11,7 @@ import pytest
 import causalfair
 from causalfair import cli, linprog
 from causalfair.errors import ConfigError
+from causalfair.fairness import KINDS
 
 
 def tiny_config(tmp_path, **policy):
@@ -89,7 +90,7 @@ class TestSubcommands:
         for name in ("policy.csv", "frontier.csv", "summary.json", "transitions.csv", "residuals.json"):
             assert (out / name).exists()
         summary = json.loads((out / "summary.json").read_text())
-        assert set(summary["definitions"]) == set(cli.RUN_KINDS)
+        assert set(summary["definitions"]) == set(KINDS)
 
     def test_run_deterministic(self, tmp_path):
         cfg = tiny_config(tmp_path)

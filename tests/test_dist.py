@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalfair.dist import (
     Binning,
+    FiniteJointDistribution,
     build_distribution,
     discretize,
     from_table,
@@ -12,6 +15,7 @@ from causalfair.dist import (
     write_tables,
 )
 from causalfair.errors import (
+    DomainError,
     EmptyInputError,
     InconsistentMassError,
     NegativeMassError,
@@ -32,6 +36,81 @@ def tiny_dist():
         (1, 1, 20, 1, 20, 0.5),
     ]
     return from_table(rows, cf_rows)
+
+
+def _reference_build_distribution(group, bin_index, y0, y1, cf, outcomes=(0, 1), groups=("a0", "a1")):
+    """The per-draw implementation that ``build_distribution`` replaced, kept as its oracle."""
+    n_draws = len(group)
+    if n_draws == 0:
+        raise EmptyInputError("no draws")
+    outcome_index = {y: j for j, y in enumerate(outcomes)}
+    k = len(outcomes)
+
+    keys = np.stack([group, bin_index], axis=1)
+    support, inverse = np.unique(keys, axis=0, return_inverse=True)
+    n = len(support)
+
+    counts = np.bincount(inverse, minlength=n).astype(np.float64)
+    om_counts = np.zeros((n, k, k))
+    j0 = np.array([outcome_index[v] for v in np.asarray(y0).tolist()])
+    j1 = np.array([outcome_index[v] for v in np.asarray(y1).tolist()])
+    np.add.at(om_counts, (inverse, j0, j1), 1.0)
+
+    point_of = {(int(g), int(b)): i for i, (g, b) in enumerate(support)}
+    by_group = {}
+    for i, (g, b) in enumerate(support):
+        by_group.setdefault(int(g), []).append((int(b), i))
+
+    def locate(g, b):
+        hit = point_of.get((g, b))
+        if hit is not None:
+            return hit
+        candidates = by_group.get(g)
+        if not candidates:
+            raise EmptyInputError(f"counterfactual group {g} never observed factually")
+        return min(candidates, key=lambda pair: (abs(pair[0] - b), pair[0]))[1]
+
+    cf_mass = {}
+    for aprime, (cf_group, cf_bin) in cf.items():
+        mat = np.zeros((n, n))
+        cols = np.array([locate(int(g), int(b)) for g, b in zip(cf_group, cf_bin)])
+        np.add.at(mat, (inverse, cols), 1.0)
+        cf_mass[aprime] = mat / n_draws
+
+    return FiniteJointDistribution(
+        group=support[:, 0],
+        bin=support[:, 1],
+        mass=counts / n_draws,
+        outcome_mass=om_counts / n_draws,
+        outcomes=tuple(outcomes),
+        cf_mass=cf_mass,
+        groups=tuple(groups),
+    )
+
+
+@st.composite
+def draw_arrays(draw):
+    """Per-draw inputs with 1-3 groups, gapped and negative bins, and
+    counterfactual bins in unobserved cells, beyond the factual range and
+    halfway between two observed bins."""
+    n_groups = draw(st.integers(1, 3))
+    g_lo = draw(st.integers(-1, 2))
+    outcomes = draw(st.sampled_from([(0, 1), (1, 0), (0, 1, 2), (2, -1, 5)]))
+    n_draws = draw(st.integers(1, 60))
+
+    def ints(elements):
+        return np.array(draw(st.lists(elements, min_size=n_draws, max_size=n_draws)), dtype=np.int64)
+
+    group = ints(st.integers(g_lo, g_lo + n_groups - 1))
+    bins = ints(st.sampled_from([-7, -4, -3, 0, 2, 6, 9]))
+    y0 = ints(st.sampled_from(outcomes))
+    y1 = ints(st.sampled_from(outcomes))
+    observed = st.sampled_from(sorted(set(group.tolist())))
+    cf = {
+        aprime: (ints(observed), ints(st.integers(-10, 12)))
+        for aprime in draw(st.sets(st.integers(0, 2), max_size=2))
+    }
+    return group, bins, y0, y1, cf, outcomes
 
 
 class TestBinning:
@@ -95,6 +174,50 @@ class TestBuildDistribution:
         np.testing.assert_allclose(rows, d.mass)
         j8 = int(np.flatnonzero(d.bin == 8)[0])
         assert d.cf_mass[1][j8, j8] == pytest.approx(0.5)
+
+    def test_cf_snap_tie_goes_to_smaller_bin(self):
+        # Bin 4 is two bins from both 2 and 6; bin 9 lies past the factual range.
+        d = build_distribution(
+            group=np.array([0, 0]),
+            bin_index=np.array([2, 6]),
+            y0=np.array([0, 0]),
+            y1=np.array([0, 0]),
+            cf={1: (np.array([0, 0]), np.array([4, 9]))},
+        )
+        np.testing.assert_array_equal(d.cf_mass[1], [[0.5, 0.0], [0.0, 0.5]])
+
+    def test_cf_group_without_factual_draws_raises(self):
+        for cf_group in (1, 3):  # inside and outside the factual group range
+            with pytest.raises(EmptyInputError, match=f"group {cf_group} never observed"):
+                build_distribution(
+                    group=np.array([0, 2]),
+                    bin_index=np.array([3, 4]),
+                    y0=np.array([0, 0]),
+                    y1=np.array([0, 0]),
+                    cf={1: (np.array([0, cf_group]), np.array([3, 4]))},
+                )
+
+    def test_unknown_outcome_value_raises(self):
+        with pytest.raises(DomainError, match="outcome value 7"):
+            build_distribution(
+                group=np.array([0, 0]),
+                bin_index=np.array([3, 4]),
+                y0=np.array([0, 1]),
+                y1=np.array([1, 7]),
+                cf={},
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(draw_arrays())
+    def test_matches_per_draw_reference(self, arrays):
+        group, bins, y0, y1, cf, outcomes = arrays
+        got = build_distribution(group, bins, y0, y1, cf, outcomes=outcomes)
+        want = _reference_build_distribution(group, bins, y0, y1, cf, outcomes=outcomes)
+        for name in ("group", "bin", "mass", "outcome_mass"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert list(got.cf_mass) == list(want.cf_mass)
+        for aprime, mat in want.cf_mass.items():
+            assert got.cf_mass[aprime].tobytes() == mat.tobytes(), aprime
 
 
 class TestFromTable:

@@ -4,7 +4,6 @@ import pytest
 from causalfair.dist import from_table, utility_table
 from causalfair.fairness import (
     FairnessSpec,
-    FairPolicyOptimizer,
     budget_row,
     ceo_rows,
     cpf_rows,
@@ -293,25 +292,3 @@ class TestResidualReport:
         for entry in report:
             assert entry["max_residual"] <= 1e-12
 
-
-class TestOptimizerWrapper:
-    def test_fit_and_params(self):
-        rng = np.random.default_rng(16)
-        d = random_dist(rng)
-        est = FairPolicyOptimizer(kind="CEO", lam=0.25, b=0.5)
-        est.fit(d)
-        assert est.result_.status == "Optimal"
-        assert est.policy_.shape == (d.n,)
-        params = est.get_params()
-        assert params["kind"] == "CEO"
-        est.set_params(kind="none")
-        assert est.kind == "none"
-        with pytest.raises(ValueError):
-            est.set_params(bogus=1)
-
-    def test_matches_solve_fair(self):
-        rng = np.random.default_rng(17)
-        d = random_dist(rng)
-        est = FairPolicyOptimizer(kind="PSF", lam=0.25, b=0.5).fit(d)
-        direct = solve_fair(d, FairnessSpec(kind="PSF"), lam=0.25, b=0.5)
-        assert est.result_.objective == pytest.approx(direct.objective, abs=1e-12)
