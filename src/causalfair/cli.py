@@ -153,8 +153,23 @@ def write_policy_csv(path, dist, policy):
 
 
 def read_policy_csv(path, dist):
-    with open(path, newline="") as fh:
-        rows = {(int(r["group"]), int(r["bin"])): float(r["d"]) for r in csv.DictReader(fh)}
+    """A policy from a (group, bin, d) CSV; a file that cannot be read or a
+    malformed row raises ``ConfigError`` naming the file and the row."""
+    try:
+        with open(path, newline="") as fh:
+            table = list(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read policy file {path}: {exc}") from exc
+    rows = {}
+    for number, r in enumerate(table, start=1):
+        where = f"policy file {path}, row {number}"
+        try:
+            key, value = (int(r["group"]), int(r["bin"])), float(r["d"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: needs integer group and bin and a numeric d, got {r}") from exc
+        if not 0 <= value <= 1:
+            raise ConfigError(f"{where}: d = {value!r} lies outside [0, 1]")
+        rows[key] = value
     d = np.zeros(dist.n)
     for i in range(dist.n):
         key = (int(dist.group[i]), int(dist.bin[i]))

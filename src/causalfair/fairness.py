@@ -5,12 +5,17 @@ vector d. Rows are assembled from joint masses (conditioning denominators are
 multiplied through), so a degenerate cell contributes a zero row rather than
 a division by a vanishing probability, and the constant policy d = b has
 residuals at the level of float rounding on every row.
+
+A family emits one row per independent condition. The group rows of an
+independence stratum (CEO, EO, CPF) sum to zero, and so do a group's outcome
+rows under CPP, so the last of each such set is implied by the others and
+left out; the feasible set is the one the full set of rows defines.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,24 +40,19 @@ __all__ = [
 
 KINDS = ("none", "CF", "PSF", "CEO", "CPF", "CPP", "EO")
 
-_CPP_FEAS_TOL = 1e-7
-
 
 @dataclass
 class FairnessSpec:
     """Which definition to enforce, plus its knobs.
 
     ``omega`` reduces covariates to strata for CPF/PSF: "constant" pools
-    everything, "identity" keeps each support point its own stratum, and a
-    callable maps a support index to a hashable stratum label. ``grid_step``
-    controls the search lattice for CPP. ``status_quo`` picks the realized
-    outcome used by EO ("always-treat" or "never-treat").
+    everything and "identity" keeps each support point its own stratum.
+    ``grid_step`` controls the search lattice for CPP.
     """
 
     kind: str = "none"
-    omega: object = None
+    omega: str | None = None
     grid_step: float = 0.01
-    status_quo: str = "always-treat"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -61,6 +61,8 @@ class FairnessSpec:
             raise ValueError("grid_step must lie in (0, 1]")
         if self.omega is None:
             self.omega = "constant" if self.kind == "CPF" else "identity"
+        if self.omega not in ("constant", "identity"):
+            raise ValueError(f"unknown omega {self.omega!r}")
 
 
 @dataclass
@@ -69,7 +71,6 @@ class FairPolicyResult:
     objective: float
     status: str  # "Optimal" | "NoFeasiblePolicy"
     residuals: dict  # constraint-set name -> max abs violation
-    skipped: dict = field(default_factory=dict)  # constraint-set name -> count
     grid_point: tuple | None = None
 
 
@@ -78,30 +79,15 @@ class ConstraintRows:
     name: str
     a: np.ndarray  # (m, n)
     rhs: np.ndarray  # (m,)
-    labels: tuple = ()
     skipped: int = 0
 
 
 def _omega_labels(dist: FiniteJointDistribution, omega) -> np.ndarray:
-    if omega == "constant" or omega is None:
-        return np.zeros(dist.n, dtype=np.int64)
     if omega == "identity":
         return np.arange(dist.n, dtype=np.int64)
-    labels = [omega(i) for i in range(dist.n)]
-    _, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
-    return codes
-
-
-def _collect(name, rows, rhs, labels, skipped):
-    n = rows[0].shape[0] if rows else 0
-    a = np.array(rows) if rows else np.zeros((0, n))
-    return ConstraintRows(
-        name=name,
-        a=a,
-        rhs=np.array(rhs, dtype=np.float64),
-        labels=tuple(labels),
-        skipped=skipped,
-    )
+    if omega == "constant":
+        return np.zeros(dist.n, dtype=np.int64)
+    raise ValueError(f"unknown omega {omega!r}")
 
 
 def budget_row(dist: FiniteJointDistribution, b: float):
@@ -117,27 +103,23 @@ def _independence_rows(name, dist, joint):
     ``joint`` is (n, m) with column s holding Pr(X = x_i, S = s). Each (a, s)
     cell yields the cleared-denominator row
     sum_i d_i (Pr(x_i, a, s) Pr(s) - Pr(x_i, s) Pr(a, s)) = 0.
+    A cell whose group is absent from the stratum, or is all of it, has an
+    identically zero row and counts as skipped. The rows of the groups
+    present in a stratum sum to zero, so the last present group's row is
+    implied by the others and left out: G - 1 rows for G present groups.
+    Rows are ordered by stratum, then group.
     """
-    rows, rhs, labels = [], [], []
-    skipped = 0
-    for s in range(joint.shape[1]):
-        m_s = joint[:, s]
-        t_s = m_s.sum()
-        if t_s <= 0:
-            skipped += len(np.unique(dist.group))
-            continue
-        for a in sorted(set(int(g) for g in dist.group)):
-            m_as = m_s * (dist.group == a)
-            t_as = m_as.sum()
-            if t_as <= 0 or t_as >= t_s:
-                # Group absent from the stratum, or the stratum is pure:
-                # the row is identically zero either way.
-                skipped += 1
-                continue
-            rows.append(m_as * t_s - m_s * t_as)
-            rhs.append(0.0)
-            labels.append((a, s))
-    return _collect(name, rows, rhs, labels, skipped)
+    # Contiguous, so every sum below rounds as a per-cell loop's sum does.
+    m_s = np.ascontiguousarray(joint.T)  # (m, n)
+    in_a = dist.group == np.unique(dist.group)[:, None]  # (G, n)
+    m_as = m_s[:, None, :] * in_a  # (m, G, n)
+    t_s = m_s.sum(axis=1)
+    t_as = m_as.sum(axis=2)
+    present = t_as > 0
+    live = present & (t_as < t_s[:, None])
+    last_present = present & (np.cumsum(present[:, ::-1], axis=1)[:, ::-1] == 1)
+    a = (m_as * t_s[:, None, None] - m_s[:, None, :] * t_as[:, :, None])[live & ~last_present]
+    return ConstraintRows(name, a, np.zeros(len(a)), skipped=int((~live).sum()))
 
 
 def ceo_rows(dist: FiniteJointDistribution) -> ConstraintRows:
@@ -154,48 +136,38 @@ def eo_rows(dist: FiniteJointDistribution, status_quo: str = "always-treat") -> 
         joint = dist.y0_joint()
     else:
         raise ValueError(f"unknown status quo {status_quo!r}")
-    rows = _independence_rows("EO", dist, joint)
-    rows.name = "EO"
-    return rows
+    return _independence_rows("EO", dist, joint)
 
 
 def cpf_rows(dist: FiniteJointDistribution, omega="constant") -> ConstraintRows:
     """Equal admission rates across groups within each (Y(0), Y(1), w) cell."""
     w = _omega_labels(dist, omega)
-    k = dist.outcome_mass.shape[1]
-    n_w = int(w.max()) + 1
-    columns = []
-    for j0 in range(k):
-        for j1 in range(k):
-            for lbl in range(n_w):
-                columns.append(dist.outcome_mass[:, j0, j1] * (w == lbl))
-    joint = np.stack(columns, axis=1)
-    rows = _independence_rows("CPF", dist, joint)
-    rows.name = "CPF"
-    return rows
+    in_w = w[:, None] == np.arange(w.max() + 1)  # (n, n_w)
+    # Strata columns ordered by y0, then y1, then w.
+    joint = (dist.outcome_mass[:, :, :, None] * in_w[:, None, None, :]).reshape(dist.n, -1)
+    return _independence_rows("CPF", dist, joint)
 
 
-def psf_rows(dist: FiniteJointDistribution, omega="identity") -> ConstraintRows:
+def psf_rows(dist: FiniteJointDistribution, omega="identity", name="PSF") -> ConstraintRows:
     """Factual and path-specific counterfactual admission rates agree per
-    stratum: sum_i d_i Pr(X=x_i, W=w) = sum_i d_i Pr(X_cf(a')=x_i, W=w)."""
+    stratum: sum_i d_i Pr(X=x_i, W=w) = sum_i d_i Pr(X_cf(a')=x_i, W=w).
+
+    ``name`` labels the family: CF is these rows on the distribution whose
+    counterfactuals follow every path.
+    """
     w = _omega_labels(dist, omega)
-    n_w = int(w.max()) + 1
-    rows, rhs, labels = [], [], []
-    skipped = 0
+    rows, skipped = [], 0
     for aprime in sorted(dist.cf_mass):
         cf = dist.cf_mass[aprime]
-        for lbl in range(n_w):
+        for lbl in range(int(w.max()) + 1):
             sel = w == lbl
-            factual = np.where(sel, dist.mass, 0.0)
-            counter = cf[sel].sum(axis=0)
-            row = factual - counter
+            row = np.where(sel, dist.mass, 0.0) - cf[sel].sum(axis=0)
             if np.max(np.abs(row)) <= 0:
                 skipped += 1
-                continue
-            rows.append(row)
-            rhs.append(0.0)
-            labels.append((aprime, lbl))
-    return _collect("PSF", rows, rhs, labels, skipped)
+            else:
+                rows.append(row)
+    a = np.array(rows).reshape(-1, dist.n)
+    return ConstraintRows(name, a, np.zeros(len(a)), skipped)
 
 
 def cpp_rows(dist: FiniteJointDistribution, C) -> ConstraintRows:
@@ -203,22 +175,24 @@ def cpp_rows(dist: FiniteJointDistribution, C) -> ConstraintRows:
 
     Linear form: sum_i d_i (C_y Pr(a, x_i) - Pr(y, a, x_i))
     = C_y sum_i Pr(a, x_i) - sum_i Pr(y, a, x_i).
+    As sum_y C_y = 1 and sum_y Pr(y, a, x_i) = Pr(a, x_i), a group's rows sum
+    to zero over y, so the last outcome's row is implied and left out: k - 1
+    rows per group, ordered by group, then outcome.
     """
     C = np.asarray(C, dtype=np.float64)
     k = dist.outcome_mass.shape[1]
     if C.shape != (k,) or abs(C.sum() - 1.0) > 1e-9 or C.min() < -1e-12:
         raise ValueError("C must be a probability vector over outcomes")
     y1j = dist.y1_joint()
-    rows, rhs, labels = [], [], []
-    for a in sorted(set(int(g) for g in dist.group)):
+    rows, rhs = [], []
+    for a in np.unique(dist.group):
         in_a = dist.group == a
         m_a = dist.mass * in_a
-        for j in range(k):
+        for j in range(k - 1):
             m_ay = y1j[:, j] * in_a
             rows.append(C[j] * m_a - m_ay)
             rhs.append(C[j] * m_a.sum() - m_ay.sum())
-            labels.append((a, j))
-    return _collect("CPP", rows, rhs, labels, 0)
+    return ConstraintRows("CPP", np.array(rows).reshape(-1, dist.n), np.array(rhs))
 
 
 def _cpp_grid(k: int, step: float):
@@ -239,26 +213,18 @@ def constraint_sets(dist, spec: FairnessSpec):
     if spec.kind == "CPF":
         return [cpf_rows(dist, spec.omega)]
     if spec.kind in ("CF", "PSF"):
-        rows = psf_rows(dist, spec.omega)
-        rows.name = spec.kind
-        return [rows]
+        return [psf_rows(dist, spec.omega, spec.kind)]
     if spec.kind == "EO":
-        return [eo_rows(dist, spec.status_quo)]
+        return [eo_rows(dist)]
     raise ValueError(spec.kind)
 
 
 def _max_residual(rows: ConstraintRows, d: np.ndarray) -> float:
-    if rows.a.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(rows.a @ d - rows.rhs)))
+    return float(np.abs(rows.a @ d - rows.rhs).max(initial=0.0))
 
 
 def solve_fair(
-    dist: FiniteJointDistribution,
-    spec: FairnessSpec,
-    lam: float,
-    b: float,
-    tol: float = 1e-9,
+    dist: FiniteJointDistribution, spec: FairnessSpec, lam: float, b: float
 ) -> FairPolicyResult:
     """Maximize expected utility subject to the budget and a fairness kind.
 
@@ -268,80 +234,35 @@ def solve_fair(
     the lexicographically smallest lattice point (the sweep visits points in
     that order and only strict improvements replace the incumbent).
     """
-    util = utility_table(dist, lam)
-    c = util.u * dist.mass
+    c = utility_table(dist, lam).u * dist.mass
     p_row, b_val = budget_row(dist, b)
-
-    def run_lp(eq_sets):
-        if eq_sets:
-            a_eq = np.vstack([s.a for s in eq_sets if s.a.shape[0]]) if any(
-                s.a.shape[0] for s in eq_sets
-            ) else None
-            b_eq = (
-                np.concatenate([s.rhs for s in eq_sets if s.a.shape[0]])
-                if a_eq is not None
-                else None
-            )
-        else:
-            a_eq = b_eq = None
-        lp = LinearProgram(
-            objective=c,
-            eq_rows=(a_eq, b_eq),
-            ub_rows=(p_row[None, :], np.array([b_val])),
-        )
-        return solve(lp, tol=tol)
-
-    if spec.kind != "CPP":
-        sets = constraint_sets(dist, spec)
-        sol = run_lp(sets)
-        if sol.status != "Optimal":
-            return FairPolicyResult(
-                policy=None,
-                objective=float("nan"),
-                status="NoFeasiblePolicy",
-                residuals={},
-                skipped={s.name: s.skipped for s in sets},
-            )
-        d = sol.values
-        residuals = {s.name: _max_residual(s, d) for s in sets}
-        residuals["budget"] = max(0.0, float(p_row @ d - b_val))
-        return FairPolicyResult(
-            policy=Policy(d=d),
-            objective=sol.objective,
-            status="Optimal",
-            residuals=residuals,
-            skipped={s.name: s.skipped for s in sets},
-        )
-
-    grid = _cpp_grid(dist.outcome_mass.shape[1], spec.grid_step)
+    ub_rows = (p_row[None, :], np.array([b_val]))
+    if spec.kind == "CPP":
+        grid = _cpp_grid(dist.outcome_mass.shape[1], spec.grid_step)
+        candidates = ((C, [cpp_rows(dist, C)]) for C in grid)
+    else:
+        candidates = [(None, constraint_sets(dist, spec))]
 
     best = None
-    for C in grid:  # grid order is lexicographic
-        rows = cpp_rows(dist, C)
-        sol = run_lp([rows])
-        if sol.status != "Optimal" or sol.phase1_residual > _CPP_FEAS_TOL:
-            continue
-        if best is None or sol.objective > best[2].objective:
-            best = (C, rows, sol)
+    for C, sets in candidates:
+        a_eq = np.vstack([s.a for s in sets]) if sets else None
+        b_eq = np.concatenate([s.rhs for s in sets]) if sets else None
+        sol = solve(LinearProgram(objective=c, eq_rows=(a_eq, b_eq), ub_rows=ub_rows))
+        if sol.status == "Optimal" and (best is None or sol.objective > best[2].objective):
+            best = (C, sets, sol)
     if best is None:
-        return FairPolicyResult(
-            policy=None,
-            objective=float("nan"),
-            status="NoFeasiblePolicy",
-            residuals={},
-        )
-    C, rows, sol = best
+        return FairPolicyResult(None, float("nan"), "NoFeasiblePolicy", residuals={})
+
+    C, sets, sol = best
     d = sol.values
+    residuals = {s.name: _max_residual(s, d) for s in sets}
+    residuals["budget"] = max(0.0, float(p_row @ d - b_val))
     return FairPolicyResult(
         policy=Policy(d=d),
         objective=sol.objective,
         status="Optimal",
-        residuals={
-            "CPP": _max_residual(rows, d),
-            "budget": max(0.0, float(p_row @ d - b_val)),
-        },
-        skipped={"CPP": 0},
-        grid_point=tuple(C),
+        residuals=residuals,
+        grid_point=None if C is None else tuple(C),
     )
 
 
@@ -379,4 +300,3 @@ def residual_report(dist: FiniteJointDistribution, policy: Policy, b: float, ome
         }
     )
     return report
-

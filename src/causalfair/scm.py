@@ -259,18 +259,14 @@ def draw_worlds(scm: Scm, pi: PathSet, targets, n: int, seed: int) -> WorldSampl
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    for t in targets:
-        if not 0 <= t < len(scm.groups):
-            raise ValueError(f"target {t} outside group range")
-    exo = _sample_exogenous(scm, n, seed)
-    factual = _factual_pass(scm, exo)
-    sample = WorldSample(n=n, exogenous=exo, factual=factual, counterfactual={})
-    add_counterfactuals(scm, sample, pi, targets)
-    return sample
+    return evaluate_worlds(scm, pi, targets, _sample_exogenous(scm, n, seed))
 
 
 def evaluate_worlds(scm: Scm, pi: PathSet, targets, exogenous: dict) -> WorldSample:
     """Like ``draw_worlds`` but with caller-supplied exogenous arrays."""
+    for t in targets:
+        if not 0 <= t < len(scm.groups):
+            raise ValueError(f"target {t} outside group range")
     n = len(next(iter(exogenous.values())))
     exo = {node: np.asarray(exogenous[node], dtype=np.float64) for node in scm.dag.nodes}
     factual = _factual_pass(scm, exo)

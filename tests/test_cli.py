@@ -189,6 +189,27 @@ class TestSubcommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
 
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            (None, "cannot read policy file"),
+            ("group,bin,d\n0,50,0.5\n1,50,high\n", "row 2"),
+            ("group,bin,d\n0,50,1.5\n", "outside [0, 1]"),
+        ],
+        ids=["missing-file", "non-numeric-d", "d-above-one"],
+    )
+    @pytest.mark.parametrize("command", ["audit", "markov"])
+    def test_bad_policy_file_is_structured(self, tmp_path, capsys, command, body, expected):
+        pol_path = tmp_path / "pol.csv"
+        if body is not None:
+            pol_path.write_text(body)
+        cfg = tiny_config(tmp_path)
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), command, "--policy", str(pol_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert str(pol_path) in err["message"] and expected in err["message"]
+
     def test_tiny_n_smoke(self, tmp_path):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(

@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from causalfair.dist import from_table, utility_table
 from causalfair.fairness import (
     FairnessSpec,
+    _cpp_grid,
     budget_row,
     ceo_rows,
     cpf_rows,
@@ -41,6 +46,80 @@ def random_dist(rng, n_bins=4, with_cf=True):
     return dist
 
 
+def _reference_independence_rows(dist, joint):
+    """Per-cell independence rows: one for every (stratum, group) cell whose
+    row is not identically zero, the implied last group's row included.
+    Returns (a, rhs, skipped)."""
+    rows = []
+    skipped = 0
+    for s in range(joint.shape[1]):
+        m_s = joint[:, s]
+        t_s = m_s.sum()
+        if t_s <= 0:
+            skipped += len(np.unique(dist.group))
+            continue
+        for a in sorted(set(int(g) for g in dist.group)):
+            m_as = m_s * (dist.group == a)
+            t_as = m_as.sum()
+            if t_as <= 0 or t_as >= t_s:
+                skipped += 1
+                continue
+            rows.append(m_as * t_s - m_s * t_as)
+    return np.array(rows).reshape(-1, dist.n), np.zeros(len(rows)), skipped
+
+
+def _reference_cpf_joint(dist, omega):
+    """CPF strata columns, one (Y(0), Y(1), w) cell at a time."""
+    w = np.arange(dist.n) if omega == "identity" else np.zeros(dist.n, dtype=np.int64)
+    k = dist.outcome_mass.shape[1]
+    columns = []
+    for j0 in range(k):
+        for j1 in range(k):
+            for lbl in range(int(w.max()) + 1):
+                columns.append(dist.outcome_mass[:, j0, j1] * (w == lbl))
+    return np.stack(columns, axis=1)
+
+
+def _reference_cpp_rows(dist, C):
+    """Per-cell CPP rows: one for every (group, outcome), the implied last
+    outcome's row included. Returns (a, rhs)."""
+    k = dist.outcome_mass.shape[1]
+    y1j = dist.y1_joint()
+    rows, rhs = [], []
+    for a in sorted(set(int(g) for g in dist.group)):
+        in_a = dist.group == a
+        m_a = dist.mass * in_a
+        for j in range(k):
+            m_ay = y1j[:, j] * in_a
+            rows.append(C[j] * m_a - m_ay)
+            rhs.append(C[j] * m_a.sum() - m_ay.sum())
+    return np.array(rows), np.array(rhs)
+
+
+@st.composite
+def sparse_distributions(draw):
+    """2-3 groups, 2-3 outcomes, 1-3 score bins; a random subset of the
+    (group, bin, Y(0), Y(1)) cells carries mass, so strata that lack a group
+    and strata holding a single group both occur."""
+    n_groups = draw(st.integers(2, 3))
+    k = draw(st.integers(2, 3))
+    n_bins = draw(st.integers(1, 3))
+    cells = list(itertools.product(range(n_groups), range(n_bins), range(k), range(k)))
+    weights = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 5]), min_size=len(cells), max_size=len(cells)))
+    rows = [(*cell, w) for cell, w in zip(cells, weights) if w]
+    assume(rows)
+    return from_table(rows, outcomes=tuple(range(k)), groups=tuple(f"a{g}" for g in range(n_groups)))
+
+
+def _rank(m):
+    # Row entries are products of masses of like size, so a linear dependence
+    # leaves singular values at rounding level, far below 1e-9 of the largest.
+    if m.shape[0] == 0:
+        return 0
+    sv = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(sv > 1e-9 * sv[0]))
+
+
 class TestBudgetRow:
     def test_uniform_two_point(self):
         coeffs, rhs = budget_row(two_point_uniform(), 0.5)
@@ -76,11 +155,12 @@ class TestCeoRows:
         assert np.max(np.abs(out.a @ by_stratum - out.rhs)) <= 1e-15
 
     def test_row_count_binary(self):
-        # Two groups, binary Y(1), all cells populated: one row per (y, a).
+        # Two groups, binary Y(1), all cells populated: one row per y, as
+        # the two group rows of a stratum are negatives of each other.
         rng = np.random.default_rng(0)
         d = random_dist(rng, with_cf=False)
         out = ceo_rows(d)
-        assert out.a.shape[0] == 4
+        assert out.a.shape[0] == 2 == np.linalg.matrix_rank(out.a)
 
     def test_rank_redundancy(self):
         # The two rows for a fixed y are negatives of each other when
@@ -104,8 +184,8 @@ class TestCpfRows:
         rng = np.random.default_rng(3)
         d = random_dist(rng, with_cf=False)
         out = cpf_rows(d, "constant")
-        # Populated (y0, y1) cells: (0,0), (0,1), (1,1); two groups each.
-        assert out.a.shape[0] == 6
+        # Populated (y0, y1) cells: (0,0), (0,1), (1,1); one row each.
+        assert out.a.shape[0] == 3 == np.linalg.matrix_rank(out.a)
 
     def test_identity_omega_no_binding_rows(self):
         rng = np.random.default_rng(4)
@@ -164,7 +244,8 @@ class TestCppRows:
         rng = np.random.default_rng(7)
         d = random_dist(rng, with_cf=False)
         out = cpp_rows(d, (0.4, 0.6))
-        assert out.a.shape[0] == 4
+        # One row per group: a group's two outcome rows sum to zero.
+        assert out.a.shape[0] == 2 == np.linalg.matrix_rank(out.a)
 
     def test_never_treat_with_matching_rates(self):
         # Groups share the same Y(1) marginal; with C set to that marginal
@@ -211,6 +292,40 @@ class TestEoRows:
     def test_unknown_status_quo(self):
         with pytest.raises(ValueError):
             eo_rows(two_point_uniform(), "half")
+
+
+class TestRowSpace:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_distributions(), st.sampled_from([0.1, 0.25, 0.5]), st.data())
+    def test_same_feasible_set_as_per_cell_rows(self, dist, step, data):
+        # Equal ranks of [A|b] for both row sets and for the two stacked mean
+        # both span the same rows, so both define the same feasible set.
+        families = [
+            (ceo_rows(dist), dist.y1_joint()),
+            (eo_rows(dist, "always-treat"), dist.y1_joint()),
+            (eo_rows(dist, "never-treat"), dist.y0_joint()),
+            (cpf_rows(dist, "constant"), _reference_cpf_joint(dist, "constant")),
+            (cpf_rows(dist, "identity"), _reference_cpf_joint(dist, "identity")),
+        ]
+        pairs = []
+        for new, joint in families:
+            ref_a, ref_rhs, ref_skipped = _reference_independence_rows(dist, joint)
+            assert new.skipped == ref_skipped
+            pairs.append((new, ref_a, ref_rhs))
+        C = data.draw(st.sampled_from(_cpp_grid(dist.outcome_mass.shape[1], step)))
+        pairs.append((cpp_rows(dist, C), *_reference_cpp_rows(dist, C)))
+        for new, ref_a, ref_rhs in pairs:
+            new_ab = np.column_stack([new.a, new.rhs])
+            ref_ab = np.column_stack([ref_a, ref_rhs])
+            assert _rank(new_ab) == _rank(ref_ab) == _rank(np.vstack([new_ab, ref_ab])), new.name
+
+
+class TestFairnessSpec:
+    def test_unknown_omega(self):
+        with pytest.raises(ValueError, match="omega"):
+            FairnessSpec(kind="CPF", omega="bogus")
+        with pytest.raises(ValueError, match="omega"):
+            cpf_rows(two_point_uniform(), "bogus")
 
 
 class TestSolveFair:

@@ -141,6 +141,14 @@ class TestDrawWorlds:
         assert (inputs["A"] == 1).all()
         np.testing.assert_array_equal(inputs["T"], sample.counterfactual[1]["T"])
 
+    @pytest.mark.parametrize("target", [-1, 2])
+    def test_target_outside_group_range(self, target):
+        scm = admissions_scm()
+        with pytest.raises(ValueError, match="outside group range"):
+            draw_worlds(scm, SINGLE_PATH, targets=[target], n=10, seed=1)
+        with pytest.raises(ValueError, match="outside group range"):
+            evaluate_worlds(scm, SINGLE_PATH, targets=[target], exogenous=zero_noise(scm))
+
 
 class TestPotentialOutcomes:
     def test_hand_values_m1(self):
