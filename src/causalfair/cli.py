@@ -10,7 +10,6 @@ CSVs. All outputs are deterministic given the config bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from importlib import resources
@@ -45,8 +44,13 @@ _DEFAULTS = {
 def load_config(path=None, overrides=None):
     raw = {}
     if path is not None:
-        with open(path) as fh:
-            raw = json.load(fh)
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
     config = {}
     for block, defaults in _DEFAULTS.items():
         user = raw.get(block, {})
@@ -61,7 +65,10 @@ def load_config(path=None, overrides=None):
     if overrides:
         for (block, key), value in overrides.items():
             config[block][key] = value
-    _validate(config)
+    try:
+        _validate(config)
+    except TypeError as exc:  # a comparison with a value of the wrong type
+        raise ConfigError(f"config value of the wrong type: {exc}") from exc
     return config
 
 
@@ -74,6 +81,10 @@ def _validate(config):
         raise ConfigError("policy.lam must be nonnegative")
     if sim["n"] < 1:
         raise ConfigError("simulation.n must be at least 1")
+    if not sim["bin_width"] > 0:
+        raise ConfigError("simulation.bin_width must be positive")
+    if not sim["score_lo"] < sim["score_hi"]:
+        raise ConfigError("simulation.score_lo must be below simulation.score_hi")
     if pol["kind"] not in KINDS:
         raise ConfigError(f"policy.kind must be one of {KINDS}")
     if pol["omega"] not in ("constant", "identity"):
@@ -140,36 +151,20 @@ def simulate(config):
     return d_pi, d_all
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def write_policy_csv(path, dist, policy):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "bin", "d"])
-        for i in range(dist.n):
-            writer.writerow([int(dist.group[i]), int(dist.bin[i]), _fmt(policy.d[i])])
+    dist_mod.write_csv(path, ["group", "bin", "d"], zip(dist.group, dist.bin, policy.d))
 
 
 def read_policy_csv(path, dist):
     """A policy from a (group, bin, d) CSV; a file that cannot be read or a
     malformed row raises ``ConfigError`` naming the file and the row."""
-    try:
-        with open(path, newline="") as fh:
-            table = list(csv.DictReader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read policy file {path}: {exc}") from exc
+    table = dist_mod.read_csv(path, (("group", int), ("bin", int), ("d", float)), "policy file")
     rows = {}
-    for number, r in enumerate(table, start=1):
-        where = f"policy file {path}, row {number}"
-        try:
-            key, value = (int(r["group"]), int(r["bin"])), float(r["d"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: needs integer group and bin and a numeric d, got {r}") from exc
+    for number, (g, b, value) in enumerate(table, start=1):
         if not 0 <= value <= 1:
+            where = f"policy file {path}, row {number}"
             raise ConfigError(f"{where}: d = {value!r} lies outside [0, 1]")
-        rows[key] = value
+        rows[(g, b)] = value
     d = np.zeros(dist.n)
     for i in range(dist.n):
         key = (int(dist.group[i]), int(dist.bin[i]))
@@ -180,40 +175,19 @@ def read_policy_csv(path, dist):
 
 
 def write_frontier_csv(path, points):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["share", "quantile_a0", "quantile_a1", "diversity", "graduation", "on_frontier"])
-        for pt in points:
-            writer.writerow(
-                [
-                    _fmt(pt.share),
-                    _fmt(pt.quantiles[0]),
-                    _fmt(pt.quantiles[1]),
-                    _fmt(pt.diversity),
-                    _fmt(pt.graduation),
-                    int(pt.on_frontier),
-                ]
-            )
+    dist_mod.write_csv(
+        path,
+        ["share", "quantile_a0", "quantile_a1", "diversity", "graduation", "on_frontier"],
+        (
+            (pt.share, pt.quantiles[0], pt.quantiles[1], pt.diversity, pt.graduation, pt.on_frontier)
+            for pt in points
+        ),
+    )
 
 
 def write_transitions_csv(path, dist):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["aprime", "i_group", "i_bin", "j_group", "j_bin", "p"])
-        for aprime in sorted(dist.cf_mass):
-            P = dist_mod.transition_matrix(dist, aprime)
-            idx_i, idx_j = np.nonzero(P)
-            for i, j in zip(idx_i, idx_j):
-                writer.writerow(
-                    [
-                        aprime,
-                        int(dist.group[i]),
-                        int(dist.bin[i]),
-                        int(dist.group[j]),
-                        int(dist.bin[j]),
-                        _fmt(P[i, j]),
-                    ]
-                )
+    tables = {a: dist_mod.transition_matrix(dist, a) for a in dist.cf_mass}
+    dist_mod.write_pair_table(path, dist, tables, "p")
 
 
 def _write_json(path, payload):

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import scm as scm_mod
 from .errors import (
+    ConfigError,
     DomainError,
     EmptyInputError,
     InconsistentMassError,
@@ -36,6 +37,9 @@ __all__ = [
     "utility_table",
     "load_tables",
     "write_tables",
+    "read_csv",
+    "write_csv",
+    "write_pair_table",
 ]
 
 _SUM_TOL = 1e-12
@@ -257,22 +261,24 @@ def from_table(rows, cf_rows=None, outcomes=(0, 1), groups=("a0", "a1")) -> Fini
     """Build a distribution from explicit (group, bin, y0, y1, mass) rows.
 
     ``cf_rows``, when given, holds (aprime, i_group, i_bin, j_group, j_bin,
-    mass) entries; both tables are normalized by the same total.
+    mass) entries; both tables are normalized by the same total. An outcome
+    value missing from ``outcomes`` raises ``DomainError``.
     """
     rows = list(rows)
     if not rows:
         raise EmptyInputError("no rows")
-    outcome_index = {y: j for j, y in enumerate(outcomes)}
     k = len(outcomes)
+    j0s = _outcome_index([r[2] for r in rows], outcomes)
+    j1s = _outcome_index([r[3] for r in rows], outcomes)
 
     agg = {}
-    for g, b, y0, y1, m in rows:
+    for (g, b, y0, y1, m), j0, j1 in zip(rows, j0s, j1s):
         m = float(m)
         if m < 0:
             raise NegativeMassError(f"negative mass in row {(g, b, y0, y1, m)}")
         key = (int(g), int(b))
         cell = agg.setdefault(key, np.zeros((k, k)))
-        cell[outcome_index[y0], outcome_index[y1]] += m
+        cell[j0, j1] += m
 
     support = sorted(agg)
     total = sum(cell.sum() for cell in agg.values())
@@ -333,57 +339,72 @@ def utility_table(dist: FiniteJointDistribution, lam: float, target_group: int =
 # ---------------------------------------------------------------------------
 # CSV interchange
 
-def write_tables(dist: FiniteJointDistribution, mass_path, cf_path=None) -> None:
-    with open(mass_path, "w", newline="") as fh:
+_MASS_COLUMNS = (("group", int), ("bin", int), ("y0", int), ("y1", int), ("mass", float))
+_PAIR_COLUMNS = (
+    ("aprime", int), ("i_group", int), ("i_bin", int), ("j_group", int), ("j_bin", int)
+)
+
+
+def _cell(x):
+    """Floats as ``repr(float(x))``, which reads back exactly; the rest as ints."""
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else int(x)
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer of the package: a header, then ``rows`` by ``_cell``."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["group", "bin", "y0", "y1", "mass"])
-        for i in range(dist.n):
-            for j0, y0 in enumerate(dist.outcomes):
-                for j1, y1 in enumerate(dist.outcomes):
-                    m = dist.outcome_mass[i, j0, j1]
-                    if m > 0:
-                        writer.writerow(
-                            [int(dist.group[i]), int(dist.bin[i]), y0, y1, repr(float(m))]
-                        )
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+
+
+def write_pair_table(path, dist: FiniteJointDistribution, tables: dict, value: str) -> None:
+    """One row (aprime, i_group, i_bin, j_group, j_bin, value) per nonzero
+    entry of each (n, n) table, by aprime and then row-major."""
+    rows = (
+        (aprime, dist.group[i], dist.bin[i], dist.group[j], dist.bin[j], mat[i, j])
+        for aprime, mat in sorted(tables.items())
+        for i, j in zip(*np.nonzero(mat))
+    )
+    write_csv(path, [name for name, _ in _PAIR_COLUMNS] + [value], rows)
+
+
+def read_csv(path, columns, what: str) -> list:
+    """Rows of a CSV file as tuples of the named ``columns``, each parsed by
+    its type. A file that cannot be read or a malformed row raises
+    ``ConfigError`` naming the ``what``, the file and the row."""
+    try:
+        with open(path, newline="") as fh:
+            table = list(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    rows = []
+    for number, r in enumerate(table, start=1):
+        try:
+            rows.append(tuple(kind(r[name]) for name, kind in columns))
+        except (KeyError, TypeError, ValueError) as exc:
+            needs = ", ".join(
+                f"{'integer' if kind is int else 'numeric'} {name}" for name, kind in columns
+            )
+            raise ConfigError(f"{what} {path}, row {number}: needs {needs}, got {r}") from exc
+    return rows
+
+
+def write_tables(dist: FiniteJointDistribution, mass_path, cf_path=None) -> None:
+    y = dist.outcomes
+    rows = (
+        (dist.group[i], dist.bin[i], y[j0], y[j1], dist.outcome_mass[i, j0, j1])
+        for i, j0, j1 in zip(*np.nonzero(dist.outcome_mass > 0))
+    )
+    write_csv(mass_path, [name for name, _ in _MASS_COLUMNS], rows)
     if cf_path is not None:
-        with open(cf_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["aprime", "i_group", "i_bin", "j_group", "j_bin", "mass"])
-            for aprime, mat in sorted(dist.cf_mass.items()):
-                idx_i, idx_j = np.nonzero(mat)
-                for i, j in zip(idx_i, idx_j):
-                    writer.writerow(
-                        [
-                            aprime,
-                            int(dist.group[i]),
-                            int(dist.bin[i]),
-                            int(dist.group[j]),
-                            int(dist.bin[j]),
-                            repr(float(mat[i, j])),
-                        ]
-                    )
+        write_pair_table(cf_path, dist, dist.cf_mass, "mass")
 
 
 def load_tables(mass_path, cf_path=None, outcomes=(0, 1), groups=("a0", "a1")):
-    with open(mass_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = [
-            (int(r["group"]), int(r["bin"]), int(r["y0"]), int(r["y1"]), float(r["mass"]))
-            for r in reader
-        ]
+    """Read ``write_tables`` output; a malformed file raises ``ConfigError``."""
+    rows = read_csv(mass_path, _MASS_COLUMNS, "mass table")
     cf_rows = None
     if cf_path is not None:
-        with open(cf_path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            cf_rows = [
-                (
-                    int(r["aprime"]),
-                    int(r["i_group"]),
-                    int(r["i_bin"]),
-                    int(r["j_group"]),
-                    int(r["j_bin"]),
-                    float(r["mass"]),
-                )
-                for r in reader
-            ]
+        cf_rows = read_csv(cf_path, _PAIR_COLUMNS + (("mass", float),), "counterfactual table")
     return from_table(rows, cf_rows, outcomes=outcomes, groups=groups)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteJointDistribution, utility_table
+from .dist import _SUM_TOL, FiniteJointDistribution, utility_table
+from .errors import EmptyInputError
 from .linprog import LinearProgram, solve
 from .pareto import Policy
 
@@ -153,8 +154,21 @@ def psf_rows(dist: FiniteJointDistribution, omega="identity", name="PSF") -> Con
     stratum: sum_i d_i Pr(X=x_i, W=w) = sum_i d_i Pr(X_cf(a')=x_i, W=w).
 
     ``name`` labels the family: CF is these rows on the distribution whose
-    counterfactuals follow every path.
+    counterfactuals follow every path. A distribution without counterfactual
+    masses raises ``EmptyInputError``. A row whose largest entry is at most
+    the mass tolerance ``_SUM_TOL`` is rounding noise (a reloaded own-group
+    swap, say) and counts as skipped.
+
+    Under "identity" the row of point i for a' is mass_i (e_i - P_a'[i, :]),
+    so d satisfies every row iff P_a' d = d for each a'. When all swaps of a
+    point but one leave it in place (its own-group swap is the identity, as
+    with two groups), that is P d = d for the averaged chain P of
+    ``markov.analyze``, whose solutions are the K-dimensional span of its
+    absorption vectors: the rows have rank n - K for K recurrent classes.
+    The simplex drops the K repeats after phase 1.
     """
+    if not dist.cf_mass:
+        raise EmptyInputError(f"{name} rows need counterfactual masses; the distribution has none")
     w = _omega_labels(dist, omega)
     rows, skipped = [], 0
     for aprime in sorted(dist.cf_mass):
@@ -162,7 +176,7 @@ def psf_rows(dist: FiniteJointDistribution, omega="identity", name="PSF") -> Con
         for lbl in range(int(w.max()) + 1):
             sel = w == lbl
             row = np.where(sel, dist.mass, 0.0) - cf[sel].sum(axis=0)
-            if np.max(np.abs(row)) <= 0:
+            if np.max(np.abs(row)) <= _SUM_TOL:
                 skipped += 1
             else:
                 rows.append(row)
@@ -271,13 +285,14 @@ def residual_report(dist: FiniteJointDistribution, policy: Policy, b: float, ome
 
     Returns a list of dicts, one per definition, shaped for JSON output.
     PSF/CF residuals use whatever counterfactual masses the distribution
-    carries (so the path collection is the one used to build it).
+    carries (so the path collection is the one used to build it); a
+    distribution without them has no PSF entry.
     """
     d = policy.d
     sets = [
         ceo_rows(dist),
         cpf_rows(dist, omega),
-        psf_rows(dist, "identity"),
+        *([psf_rows(dist, "identity")] if dist.cf_mass else []),
         eo_rows(dist),
     ]
     report = []

@@ -10,6 +10,7 @@ import pytest
 
 import causalfair
 from causalfair import cli, linprog
+from causalfair.dist import load_tables
 from causalfair.errors import ConfigError
 from causalfair.fairness import KINDS
 
@@ -144,8 +145,6 @@ class TestSubcommands:
         sim_out = tmp_path / "sim"
         cli.main(["--config", str(cfg), "--out", str(sim_out), "simulate"])
         # Build a constant-0.5 policy file over the simulated support.
-        from causalfair.dist import load_tables
-
         d = load_tables(sim_out / "mass.csv", sim_out / "cf.csv")
         pol_path = tmp_path / "pol.csv"
         with open(pol_path, "w") as fh:
@@ -209,6 +208,91 @@ class TestSubcommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert str(pol_path) in err["message"] and expected in err["message"]
+
+    @pytest.mark.parametrize(
+        "table, body, error, expected",
+        [
+            ("mass.csv", None, "ConfigError", "cannot read mass table"),
+            ("mass.csv", "group,bin,y0,y1,mass\n0,50,0,1,0.5\nx,50,0,1,0.5\n", "ConfigError", "row 2"),
+            ("mass.csv", "group,bin,y0,y1,mass\n0,50,0,7,0.5\n", "DomainError", "outcome value 7"),
+            ("cf.csv", "aprime,i_group,i_bin,j_group,j_bin,mass\n1,0,50,1,51\n", "ConfigError", "row 1"),
+        ],
+        ids=["missing-mass", "non-integer-group", "unknown-outcome", "short-cf-row"],
+    )
+    def test_bad_table_is_structured(self, tmp_path, capsys, table, body, error, expected):
+        cfg = tiny_config(tmp_path)
+        sim = tmp_path / "sim"
+        cli.main(["--config", str(cfg), "--out", str(sim), "simulate"])
+        capsys.readouterr()
+        if body is None:
+            (sim / table).unlink()
+        else:
+            (sim / table).write_text(body)
+        tables = ["--mass", str(sim / "mass.csv"), "--cf", str(sim / "cf.csv")]
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "optimize", *tables])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error and expected in err["message"]
+        if error == "ConfigError":
+            assert str(sim / table) in err["message"]
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            (None, "cannot read config file"),
+            ("{not json", "cannot read config file"),
+            ("[1, 2]", "must hold a JSON object"),
+            ('{"simulation": {"bin_width": 0}}', "bin_width must be positive"),
+            ('{"simulation": {"score_lo": 5, "score_hi": 5}}', "score_lo must be below"),
+            ('{"policy": {"b": "half"}}', "wrong type"),
+        ],
+        ids=["missing", "malformed", "not-object", "zero-width", "empty-range", "string-budget"],
+    )
+    def test_bad_config_is_structured(self, tmp_path, capsys, body, expected):
+        path = tmp_path / "c.json"
+        if body is not None:
+            path.write_text(body)
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "run"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and expected in err["message"]
+
+    @staticmethod
+    def _run_without_cf(tmp_path, capsys, kind, command):
+        cfg = tiny_config(tmp_path, kind=kind)
+        sim = tmp_path / "sim"
+        cli.main(["--config", str(cfg), "--out", str(sim), "simulate"])
+        d = load_tables(sim / "mass.csv")
+        pol_path = tmp_path / "pol.csv"
+        rows = "".join(f"{g},{b},0.5\n" for g, b in zip(d.group, d.bin))
+        pol_path.write_text("group,bin,d\n" + rows)
+        policy = ["--policy", str(pol_path)] if command == "audit" else []
+        capsys.readouterr()
+        mass = ["--mass", str(sim / "mass.csv")]
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), command, *mass, *policy])
+        return rc, capsys.readouterr()
+
+    @pytest.mark.parametrize("kind,command", [("PSF", "optimize"), ("CF", "optimize"), ("CEO", "markov")])
+    def test_tables_without_counterfactuals_fail(self, tmp_path, capsys, kind, command):
+        # PSF/CF rows and the transition chain need cf.csv; without it they
+        # must fail rather than report an unconstrained optimum.
+        rc, captured = self._run_without_cf(tmp_path, capsys, kind, command)
+        assert rc == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "EmptyInputError"
+
+    @pytest.mark.parametrize("kind,command", [("CEO", "optimize"), ("CPP", "optimize"), ("PSF", "audit")])
+    def test_tables_without_counterfactuals_pass(self, tmp_path, capsys, kind, command):
+        # The other kinds' LPs and the audit never need cf.csv: they succeed,
+        # and the residual report leaves out the PSF entry it cannot compute.
+        rc, captured = self._run_without_cf(tmp_path, capsys, kind, command)
+        assert rc == 0, captured.err
+        assert captured.err == ""
+        payload = json.loads((tmp_path / "o" / "residuals.json").read_text())
+        report = payload["residuals"] if command == "audit" else payload
+        assert [r["definition"] for r in report] == ["CEO", "CPF", "EO", "budget"]
+        if command == "optimize":
+            assert (tmp_path / "o" / "policy.csv").exists()
 
     def test_tiny_n_smoke(self, tmp_path):
         cfg_path = tmp_path / "c.json"

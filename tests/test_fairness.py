@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from causalfair.dist import from_table, utility_table
+from causalfair import cli
+from causalfair.dist import from_table, load_tables, utility_table, write_tables
+from causalfair.errors import EmptyInputError
 from causalfair.fairness import (
     FairnessSpec,
     _cpp_grid,
@@ -114,10 +116,14 @@ def sparse_distributions(draw):
 def _rank(m):
     # Row entries are products of masses of like size, so a linear dependence
     # leaves singular values at rounding level, far below 1e-9 of the largest.
+    # Masses are at least 1/405 here, so a family with a real row has an
+    # entry above 2.5e-4 and a relative cut above 2.5e-13, which the floor
+    # 1e-14 leaves alone. A family whose rows are all rounding noise (about
+    # 1e-16 an entry, at most 729 entries) stays below the floor: rank 0.
     if m.shape[0] == 0:
         return 0
     sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(sv > 1e-9 * sv[0]))
+    return int(np.sum(sv > max(1e-9 * sv[0], 1e-14)))
 
 
 class TestBudgetRow:
@@ -230,6 +236,23 @@ class TestPsfRows:
         assert out.a.shape[0] == 1
         row = out.a[0] / out.a[0][0]
         np.testing.assert_allclose(row, [1.0, -0.5, -0.5])
+
+    def test_no_counterfactual_masses(self):
+        with pytest.raises(EmptyInputError):
+            psf_rows(two_point_uniform(), "identity")
+
+    @pytest.mark.parametrize("width", [1.0, 0.5])
+    def test_reloaded_tables_skip_the_same_rows(self, tmp_path, width):
+        # Reloading renormalizes by a re-accumulated total, which leaves
+        # own-group rows at rounding noise (1e-20 to 1e-18) instead of 0.
+        config = cli.load_config(
+            None, {("simulation", "n"): 20000, ("simulation", "bin_width"): width}
+        )
+        d, _ = cli.simulate(config)
+        write_tables(d, tmp_path / "mass.csv", tmp_path / "cf.csv")
+        original = psf_rows(d)
+        reloaded = psf_rows(load_tables(tmp_path / "mass.csv", tmp_path / "cf.csv"))
+        assert (reloaded.a.shape, reloaded.skipped) == (original.a.shape, original.skipped)
 
     def test_constant_policy_zero_residual(self):
         rng = np.random.default_rng(6)

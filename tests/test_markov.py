@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
+from causalfair import cli
 from causalfair.dist import Binning, discretize, transition_matrix
-from causalfair.errors import NonStochasticError
-from causalfair.fairness import FairnessSpec, solve_fair
+from causalfair.errors import EmptyInputError, NonStochasticError
+from causalfair.fairness import FairnessSpec, psf_rows, solve_fair
 from causalfair.markov import analyze, check_pi_fair_structure
 from causalfair.pareto import Policy
 from causalfair.scm import PathSet, admissions_scm, draw_worlds
@@ -29,7 +33,52 @@ def four_state_chain():
     return P, expected
 
 
+@st.composite
+def sparse_chains(draw, tol=1e-9):
+    """1-3 row-stochastic matrices on 1-12 states, each row with 1-3 real
+    entries and up to two spurious ones just below ``tol``."""
+    n = draw(st.integers(1, 12))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        P = np.zeros((n, n))
+        for i in range(n):
+            support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+            weights = np.array([draw(st.integers(1, 5)) for _ in support])
+            P[i, support] = weights / weights.sum()
+            for j in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)):
+                if P[i, j] == 0:
+                    P[i, j] = 0.9 * tol
+                    P[i, support[0]] -= 0.9 * tol
+        mats.append(P)
+    return mats
+
+
+def scc_oracle(P, tol):
+    """Recurrent classes and transient states from scipy's strongly connected
+    components: a component is a recurrent class when no edge leaves it."""
+    edges = P > tol
+    k, label = connected_components(edges, directed=True, connection="strong")
+    closed = [not edges[label == c][:, label != c].any() for c in range(k)]
+    classes = sorted(tuple(np.flatnonzero(label == c).tolist()) for c in range(k) if closed[c])
+    transient = tuple(v for v in range(len(P)) if not closed[label[v]])
+    return tuple(classes), transient
+
+
 class TestAnalyze:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_chains())
+    def test_classes_match_scc_oracle(self, mats):
+        an = analyze(mats)
+        assert (an.classes, an.transient) == scc_oracle(sum(mats) / len(mats), 1e-9)
+        np.testing.assert_allclose(an.absorption.sum(axis=1), 1.0, atol=1e-9)
+        recurrent = [v for c in an.classes for v in c]
+        labels = [k for k, c in enumerate(an.classes) for _ in c]
+        assert np.array_equal(an.absorption[recurrent], np.eye(len(an.classes))[labels])
+
+    def test_no_matrices(self):
+        with pytest.raises(EmptyInputError):
+            analyze([])
+
     def test_identity_every_state_recurrent(self):
         an = analyze([np.eye(3)])
         assert an.classes == ((0,), (1,), (2,))
@@ -147,6 +196,17 @@ class TestAdmissionsChain:
         an = analyze(mats)
         report = check_pi_fair_structure(res.policy, an, tol=1e-6)
         assert report["max_within_class_deviation"] <= 1e-9
+
+    @pytest.mark.parametrize("width, seed", [(1.0, 1), (0.5, 3)])
+    def test_psf_rank_is_states_minus_classes(self, width, seed):
+        # Each PSF/CF row is mass_i (e_i - P_a'[i, :]), so the rows' solutions
+        # are the harmonic vectors of the averaged chain, one per recurrent
+        # class. These samples have 1 to 4 classes.
+        sim = {"n": 20000, "seed": seed, "bin_width": width}
+        config = cli.load_config(None, {("simulation", key): value for key, value in sim.items()})
+        for d in cli.simulate(config):
+            an = analyze([transition_matrix(d, a) for a in sorted(d.cf_mass)])
+            assert np.linalg.matrix_rank(psf_rows(d).a) == d.n - len(an.classes)
 
     def test_stationarity_of_lp_solution(self):
         scm = admissions_scm()
