@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 
@@ -79,8 +80,10 @@ def _validate(config):
         raise ConfigError("policy.b must lie in (0, 1)")
     if pol["lam"] < 0:
         raise ConfigError("policy.lam must be nonnegative")
-    if sim["n"] < 1:
-        raise ConfigError("simulation.n must be at least 1")
+    if not _is_int(sim["n"], 1):
+        raise ConfigError("simulation.n must be an integer of at least 1")
+    if not _is_int(sim["seed"], 0, 2**96):  # the Philox key seed << 32 ^ node stays below 2**128
+        raise ConfigError("simulation.seed must be an integer in [0, 2**96)")
     if not sim["bin_width"] > 0:
         raise ConfigError("simulation.bin_width must be positive")
     if not sim["score_lo"] < sim["score_hi"]:
@@ -91,8 +94,15 @@ def _validate(config):
         raise ConfigError("policy.omega must be 'constant' or 'identity'")
     if not 0 < pol["grid_step"] <= 1:
         raise ConfigError("policy.grid_step must lie in (0, 1]")
+    if not _is_int(pol["frontier_resolution"], 2):
+        raise ConfigError("policy.frontier_resolution must be an integer of at least 2")
     if config["output"]["population"] <= 0:
         raise ConfigError("output.population must be positive")
+
+
+def _is_int(value, lo, hi=None) -> bool:
+    """``value`` is an int (not a bool) with lo <= value, and value < hi if given."""
+    return type(value) is int and lo <= value and (hi is None or value < hi)
 
 
 def build_scm(scm_block):
@@ -157,21 +167,26 @@ def write_policy_csv(path, dist, policy):
 
 def read_policy_csv(path, dist):
     """A policy from a (group, bin, d) CSV; a file that cannot be read or a
-    malformed row raises ``ConfigError`` naming the file and the row."""
+    malformed row raises ``ConfigError`` naming the file and the row. Rows for
+    points outside the support are ignored; of two rows for a point, the last wins."""
     table = dist_mod.read_csv(path, (("group", int), ("bin", int), ("d", float)), "policy file")
-    rows = {}
-    for number, (g, b, value) in enumerate(table, start=1):
-        if not 0 <= value <= 1:
-            where = f"policy file {path}, row {number}"
-            raise ConfigError(f"{where}: d = {value!r} lies outside [0, 1]")
-        rows[(g, b)] = value
-    d = np.zeros(dist.n)
-    for i in range(dist.n):
-        key = (int(dist.group[i]), int(dist.bin[i]))
-        if key not in rows:
-            raise ConfigError(f"policy file missing support point {key}")
-        d[i] = rows[key]
-    return Policy(d=d)
+    g, b, value = np.array(table, dtype=object).reshape(-1, 3).T
+    value = value.astype(np.float64)
+    outside = ~((value >= 0) & (value <= 1))
+    if outside.any():
+        row = int(np.argmax(outside))
+        where = f"policy file {path}, row {row + 1}"
+        raise ConfigError(f"{where}: d = {table[row][2]!r} lies outside [0, 1]")
+    support_group, support_bin, inverse, lookup = dist_mod._support_index(dist.group, dist.bin)
+    # Rows reversed, so each point's first hit in np.unique is its last row.
+    point, row = np.unique(lookup(g, b)[::-1], return_index=True)
+    d = np.full(len(support_group), np.nan)
+    d[point[point >= 0]] = value[::-1][row[point >= 0]]
+    if np.isnan(d).any():
+        i = int(np.argmax(np.isnan(d)))
+        key = (int(support_group[i]), int(support_bin[i]))
+        raise ConfigError(f"policy file missing support point {key}")
+    return Policy(d=d[inverse])
 
 
 def write_frontier_csv(path, points):
@@ -197,9 +212,7 @@ def _write_json(path, payload):
 
 
 def _spec_for(kind, pol):
-    omega = None
-    if kind in ("CPF", "PSF"):
-        omega = pol["omega"] if kind == "CPF" else "identity"
+    omega = pol["omega"] if kind == "CPF" else None
     return FairnessSpec(kind=kind, omega=omega, grid_step=pol["grid_step"])
 
 
@@ -216,8 +229,6 @@ def _markov_report(dist, policy, tol=1e-9):
 
 
 def run(config, out_dir):
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     pol = config["policy"]
     b, lam = pol["b"], pol["lam"]
@@ -285,8 +296,6 @@ def validate_summary(summary):
 
 
 def _cmd_simulate(config, out_dir, args):
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     d_pi, _ = simulate(config)
     dist_mod.write_tables(
@@ -304,8 +313,6 @@ def _load_or_simulate(config, args):
 
 
 def _cmd_optimize(config, out_dir, args):
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     pol = config["policy"]
     d = _load_or_simulate(config, args)
@@ -323,8 +330,6 @@ def _cmd_optimize(config, out_dir, args):
 
 
 def _cmd_frontier(config, out_dir, args):
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     pol = config["policy"]
     d = _load_or_simulate(config, args)
@@ -334,8 +339,6 @@ def _cmd_frontier(config, out_dir, args):
 
 
 def _cmd_audit(config, out_dir, args):
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     pol = config["policy"]
     d = _load_or_simulate(config, args)
@@ -352,8 +355,6 @@ def _cmd_audit(config, out_dir, args):
 
 
 def _cmd_markov(config, out_dir, args):
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     d = _load_or_simulate(config, args)
     policy = (

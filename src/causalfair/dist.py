@@ -88,7 +88,10 @@ class FiniteJointDistribution:
         return len(self.mass)
 
     def validate(self):
-        if self.mass.min(initial=np.inf) < 0 or self.outcome_mass.min(initial=np.inf) < 0:
+        tables = (self.mass, self.outcome_mass, *self.cf_mass.values())
+        if not all(np.isfinite(t).all() for t in tables):
+            raise DomainError("non-finite probability mass")
+        if min(t.min(initial=np.inf) for t in tables) < 0:
             raise NegativeMassError("negative probability mass")
         if abs(self.mass.sum() - 1.0) > _SUM_TOL:
             raise InconsistentMassError("point masses do not sum to 1")
@@ -98,8 +101,6 @@ class FiniteJointDistribution:
         for aprime, cf in self.cf_mass.items():
             if cf.shape != (self.n, self.n):
                 raise InconsistentMassError(f"cf_mass[{aprime}] has wrong shape")
-            if cf.min(initial=np.inf) < 0:
-                raise NegativeMassError("negative counterfactual mass")
             rows = cf.sum(axis=1)
             if np.max(np.abs(rows - self.mass)) > _SUM_TOL:
                 raise InconsistentMassError(
@@ -141,62 +142,70 @@ def build_distribution(
     group component, counterfactual bin) aligned with the factual draws, so
     counterfactual masses are joint frequencies computed from the same draw.
 
-    Each (group, bin) cell gets the dense integer key
-    ``(g - g_lo) * span + (b - b_lo)``, where ``g_lo`` and ``b_lo`` are the
-    smallest factual group and bin and ``span`` is the factual bin range, so
-    ascending keys are the (group, bin) order of the support and every mass
-    is one ``np.bincount``. The key table has one entry per cell of the
-    factual G x span range (``Binning`` bounds span by its bin count).
-
     Counterfactual draws can land in a cell never observed factually (a
-    finite-sample tail artifact). A snap table over the same cells sends each
-    one to the nearest factually observed bin in the same group, ties to the
-    smaller bin, so row sums stay exact; bins outside the factual range snap
-    like the range's end bins. A counterfactual group with no factual draws
-    raises ``EmptyInputError``, and an outcome value missing from
-    ``outcomes`` raises ``DomainError``.
+    finite-sample tail artifact). A snap table over the factual G x span range
+    of cells sends each one to the nearest factually observed bin in the same
+    group, ties to the smaller bin, so row sums stay exact; bins outside the
+    factual range snap like the range's end bins. A counterfactual group with
+    no factual draws raises ``EmptyInputError``, and an outcome value missing
+    from ``outcomes`` raises ``DomainError``.
     """
     n_draws = len(group)
-    if n_draws == 0:
-        raise EmptyInputError("no draws")
     k = len(outcomes)
-    group = np.asarray(group, dtype=np.int64)
-    bin_index = np.asarray(bin_index, dtype=np.int64)
+    support_group, support_bin, inverse, lookup = _support_index(group, bin_index)
+    n = len(support_group)
 
-    g_lo, b_lo, b_hi = int(group.min()), int(bin_index.min()), int(bin_index.max())
-    n_groups, span = int(group.max()) - g_lo + 1, b_hi - b_lo + 1
-    cell = (group - g_lo) * span + (bin_index - b_lo)
-    observed = np.flatnonzero(np.bincount(cell, minlength=n_groups * span))
-    n = len(observed)
-    point = np.full(n_groups * span, -1, dtype=np.int64)
-    point[observed] = np.arange(n)
-    inverse = point[cell]
-
-    counts = np.bincount(inverse, minlength=n)
     flat = (inverse * k + _outcome_index(y0, outcomes)) * k + _outcome_index(y1, outcomes)
     om_counts = np.bincount(flat, minlength=n * k * k).reshape(n, k, k)
 
-    snap = _snap_table(point.reshape(n_groups, span))
+    bins = np.arange(support_bin.min(), support_bin.max() + 1)
+    snap = _snap_table(lookup(np.arange(support_group[0], support_group[-1] + 1)[:, None], bins))
     cf_mass = {}
     for aprime, (cf_group, cf_bin) in cf.items():
-        cf_group = np.asarray(cf_group, dtype=np.int64) - g_lo
-        in_range = (cf_group >= 0) & (cf_group < n_groups)
-        cf_cell = np.clip(cf_group, 0, n_groups - 1) * span + np.clip(cf_bin, b_lo, b_hi) - b_lo
-        cols = np.where(in_range, snap[cf_cell], -1)
+        cols = lookup(cf_group, np.clip(cf_bin, bins[0], bins[-1]), snap)
         if np.any(cols < 0):
-            g = int(cf_group[np.argmax(cols < 0)]) + g_lo
+            g = int(np.asarray(cf_group)[np.argmax(cols < 0)])
             raise EmptyInputError(f"counterfactual group {g} never observed factually")
         cf_mass[aprime] = np.bincount(inverse * n + cols, minlength=n * n).reshape(n, n) / n_draws
 
     return FiniteJointDistribution(
-        group=observed // span + g_lo,
-        bin=observed % span + b_lo,
-        mass=counts / n_draws,
+        group=support_group,
+        bin=support_bin,
+        mass=om_counts.sum(axis=(1, 2)) / n_draws,
         outcome_mass=om_counts / n_draws,
         outcomes=tuple(outcomes),
         cf_mass=cf_mass,
         groups=tuple(groups),
     )
+
+
+def _support_index(group, bin_index):
+    """The package's one map from (group, bin) cells to support indices.
+
+    A cell's dense key is ``(g - g_lo) * span + (b - b_lo)`` over the G x span
+    range of the input cells, so ascending keys are the (group, bin) order; no
+    cells raise ``EmptyInputError``. Returns the sorted support's groups and
+    bins, each input's support index, and ``lookup(g, b)``: each cell's support
+    index, -1 if absent or out of range (``table=`` reads another G x span table).
+    """
+    group, bin_index = np.asarray(group, dtype=np.int64), np.asarray(bin_index, dtype=np.int64)
+    if len(group) == 0:
+        raise EmptyInputError("no (group, bin) cells")
+    g_lo, b_lo = int(group.min()), int(bin_index.min())
+    shape = (int(group.max()) - g_lo + 1, int(bin_index.max()) - b_lo + 1)
+    if shape[0] * shape[1] > 2**24:  # a table of far-apart cells would not fit in memory
+        raise DomainError(f"(group, bin) range {shape} spans more than 2**24 cells")
+    cell = (group - g_lo) * shape[1] + (bin_index - b_lo)
+    observed = np.flatnonzero(np.bincount(cell, minlength=shape[0] * shape[1]))
+    point = np.full(shape, -1, dtype=np.int64)
+    point.flat[observed] = np.arange(len(observed))
+
+    def lookup(g, b, table=point):
+        g, b = np.asarray(g, dtype=np.int64) - g_lo, np.asarray(b, dtype=np.int64) - b_lo
+        inside = (g >= 0) & (g < shape[0]) & (b >= 0) & (b < shape[1])
+        return np.where(inside, table.ravel()[(g * shape[1] + b) * inside], -1)
+
+    return observed // shape[1] + g_lo, observed % shape[1] + b_lo, point.ravel()[cell], lookup
 
 
 def _outcome_index(y, outcomes) -> np.ndarray:
@@ -206,13 +215,13 @@ def _outcome_index(y, outcomes) -> np.ndarray:
     for j, value in enumerate(outcomes):
         index[y == value] = j
     if np.any(index < 0):
-        missing = y[np.argmax(index < 0)].item()
+        missing = y[index < 0].tolist()[0]
         raise DomainError(f"outcome value {missing!r} not in outcomes {tuple(outcomes)}")
     return index
 
 
 def _snap_table(grid: np.ndarray) -> np.ndarray:
-    """Flattened support index of the nearest observed bin in each cell's group.
+    """Support index of the nearest observed bin in each cell's group.
 
     ``grid[g, b]`` is the support index of cell (g, b), or -1 when the cell
     was never observed. An unobserved cell takes the closer of the nearest
@@ -226,7 +235,7 @@ def _snap_table(grid: np.ndarray) -> np.ndarray:
     right = np.minimum.accumulate(np.where(seen, pos, span)[:, ::-1], axis=1)[:, ::-1]
     use_left = (left >= 0) & ((right == span) | (pos - left <= right - pos))
     nearest = np.where(use_left, left, np.minimum(right, span - 1))
-    return np.take_along_axis(grid, nearest, axis=1).ravel()
+    return np.take_along_axis(grid, nearest, axis=1)
 
 
 def discretize(
@@ -264,50 +273,39 @@ def from_table(rows, cf_rows=None, outcomes=(0, 1), groups=("a0", "a1")) -> Fini
     mass) entries; both tables are normalized by the same total. An outcome
     value missing from ``outcomes`` raises ``DomainError``.
     """
-    rows = list(rows)
-    if not rows:
-        raise EmptyInputError("no rows")
+    table = np.array(list(rows), dtype=object).reshape(-1, 5)
+    g, b, y0, y1, m = table.T
+    m = m.astype(np.float64)
+    if np.any(m < 0):
+        raise NegativeMassError(f"negative mass in row {tuple(table[np.argmax(m < 0)])}")
     k = len(outcomes)
-    j0s = _outcome_index([r[2] for r in rows], outcomes)
-    j1s = _outcome_index([r[3] for r in rows], outcomes)
-
-    agg = {}
-    for (g, b, y0, y1, m), j0, j1 in zip(rows, j0s, j1s):
-        m = float(m)
-        if m < 0:
-            raise NegativeMassError(f"negative mass in row {(g, b, y0, y1, m)}")
-        key = (int(g), int(b))
-        cell = agg.setdefault(key, np.zeros((k, k)))
-        cell[j0, j1] += m
-
-    support = sorted(agg)
-    total = sum(cell.sum() for cell in agg.values())
+    support_group, support_bin, point, lookup = _support_index(g, b)
+    n = len(support_group)
+    flat = (point * k + _outcome_index(y0, outcomes)) * k + _outcome_index(y1, outcomes)
+    om = np.bincount(flat, weights=m, minlength=n * k * k).reshape(n, k, k)
+    total = om.sum()
     if total <= 0:
         raise ZeroMassError("table has zero total mass")
+    om /= total
 
-    n = len(support)
-    om = np.zeros((n, k, k))
-    for i, key in enumerate(support):
-        om[i] = agg[key] / total
-    mass = om.sum(axis=(1, 2))
-
+    cf_table = np.array(list(cf_rows or ()), dtype=object).reshape(-1, 6)
+    aprime, ig, ib, jg, jb, cm = cf_table.T
+    aprime, cm = aprime.astype(np.int64), cm.astype(np.float64)
+    if np.any(cm < 0):
+        raise NegativeMassError("negative counterfactual mass")
+    i, j = lookup(ig, ib), lookup(jg, jb)
+    if np.any((i < 0) | (j < 0)):
+        bad = tuple(cf_table[np.argmax((i < 0) | (j < 0))])
+        raise InconsistentMassError(f"counterfactual row references unknown point: {bad}")
     cf_mass = {}
-    if cf_rows:
-        point_of = {key: i for i, key in enumerate(support)}
-        for aprime, ig, ib, jg, jb, m in cf_rows:
-            m = float(m)
-            if m < 0:
-                raise NegativeMassError("negative counterfactual mass")
-            mat = cf_mass.setdefault(int(aprime), np.zeros((n, n)))
-            try:
-                mat[point_of[(int(ig), int(ib))], point_of[(int(jg), int(jb))]] += m / total
-            except KeyError as exc:
-                raise InconsistentMassError(f"counterfactual row references unknown point: {exc}")
+    for a in np.unique(aprime):
+        on = aprime == a
+        cf_mass[int(a)] = np.bincount(i[on] * n + j[on], cm[on] / total, n * n).reshape(n, n)
 
     return FiniteJointDistribution(
-        group=np.array([g for g, _ in support]),
-        bin=np.array([b for _, b in support]),
-        mass=mass,
+        group=support_group,
+        bin=support_bin,
+        mass=om.sum(axis=(1, 2)),
         outcome_mass=om,
         outcomes=tuple(outcomes),
         cf_mass=cf_mass,
@@ -343,6 +341,7 @@ _MASS_COLUMNS = (("group", int), ("bin", int), ("y0", int), ("y1", int), ("mass"
 _PAIR_COLUMNS = (
     ("aprime", int), ("i_group", int), ("i_bin", int), ("j_group", int), ("j_bin", int)
 )
+_CF_COLUMNS = _PAIR_COLUMNS + (("mass", float),)
 
 
 def _cell(x):
@@ -370,9 +369,9 @@ def write_pair_table(path, dist: FiniteJointDistribution, tables: dict, value: s
 
 
 def read_csv(path, columns, what: str) -> list:
-    """Rows of a CSV file as tuples of the named ``columns``, each parsed by
-    its type. A file that cannot be read or a malformed row raises
-    ``ConfigError`` naming the ``what``, the file and the row."""
+    """Rows of a CSV file as tuples of the named ``columns``, each parsed by its
+    type and below 2**63 in magnitude (so finite). A file that cannot be read or
+    a malformed row raises ``ConfigError`` naming the ``what``, the file and the row."""
     try:
         with open(path, newline="") as fh:
             table = list(csv.DictReader(fh))
@@ -382,9 +381,11 @@ def read_csv(path, columns, what: str) -> list:
     for number, r in enumerate(table, start=1):
         try:
             rows.append(tuple(kind(r[name]) for name, kind in columns))
+            if not all(abs(x) < 2**63 for x in rows[-1]):  # false for nan, inf and past int64
+                raise ValueError("value out of range")
         except (KeyError, TypeError, ValueError) as exc:
             needs = ", ".join(
-                f"{'integer' if kind is int else 'numeric'} {name}" for name, kind in columns
+                f"{'integer' if kind is int else 'finite numeric'} {name}" for name, kind in columns
             )
             raise ConfigError(f"{what} {path}, row {number}: needs {needs}, got {r}") from exc
     return rows
@@ -404,7 +405,5 @@ def write_tables(dist: FiniteJointDistribution, mass_path, cf_path=None) -> None
 def load_tables(mass_path, cf_path=None, outcomes=(0, 1), groups=("a0", "a1")):
     """Read ``write_tables`` output; a malformed file raises ``ConfigError``."""
     rows = read_csv(mass_path, _MASS_COLUMNS, "mass table")
-    cf_rows = None
-    if cf_path is not None:
-        cf_rows = read_csv(cf_path, _PAIR_COLUMNS + (("mass", float),), "counterfactual table")
+    cf_rows = [] if cf_path is None else read_csv(cf_path, _CF_COLUMNS, "counterfactual table")
     return from_table(rows, cf_rows, outcomes=outcomes, groups=groups)

@@ -1,16 +1,18 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import causalfair
 from causalfair import cli, linprog
-from causalfair.dist import load_tables
+from causalfair.dist import from_table, load_tables
 from causalfair.errors import ConfigError
 from causalfair.fairness import KINDS
 
@@ -50,6 +52,34 @@ class TestConfig:
         p = tiny_config(tmp_path)
         cfg = cli.load_config(p, {("simulation", "seed"): 99})
         assert cfg["simulation"]["seed"] == 99
+
+    def test_seed_bounds(self, tmp_path, capsys):
+        # Philox takes keys below 2**128 and the key is seed << 32 ^ node.
+        args = ["--config", str(tiny_config(tmp_path)), "--out", str(tmp_path / "s"), "--seed"]
+        assert cli.main([*args, str(2**96 - 1), "simulate"]) == 0
+        assert cli.main([*args, str(2**96), "simulate"]) == 1
+        assert "simulation.seed must be an integer" in json.loads(capsys.readouterr().err)["message"]
+
+
+class TestReadPolicyCsv:
+    @staticmethod
+    def _dist():
+        return from_table([(0, 10, 0, 1, 0.25), (0, 12, 1, 1, 0.25), (1, 10, 0, 0, 0.5)])
+
+    def test_shuffled_rows(self, tmp_path):
+        # Shuffled rows, one for a point outside the support (ignored) and two
+        # for the point (0, 12), of which the last wins.
+        path = tmp_path / "pol.csv"
+        path.write_text("group,bin,d\n1,10,0.75\n0,12,0.5\n0,99,1.0\n0,10,0.1\n0,12,0.25\n")
+        np.testing.assert_array_equal(cli.read_policy_csv(path, self._dist()).d, [0.1, 0.25, 0.75])
+
+    @pytest.mark.parametrize("body", ["1,10,0.75\n0,10,0.1\n", ""], ids=["one-point", "header-only"])
+    def test_missing_point(self, tmp_path, body):
+        path = tmp_path / "pol.csv"
+        path.write_text("group,bin,d\n" + body)
+        missing = "(0, 12)" if body else "(0, 10)"
+        with pytest.raises(ConfigError, match=f"missing support point {re.escape(missing)}"):
+            cli.read_policy_csv(path, self._dist())
 
 
 class TestCustomScm:
@@ -194,8 +224,9 @@ class TestSubcommands:
             (None, "cannot read policy file"),
             ("group,bin,d\n0,50,0.5\n1,50,high\n", "row 2"),
             ("group,bin,d\n0,50,1.5\n", "outside [0, 1]"),
+            ("group,bin,d\n0,100000000000000000000,0.5\n", "row 1"),
         ],
-        ids=["missing-file", "non-numeric-d", "d-above-one"],
+        ids=["missing-file", "non-numeric-d", "d-above-one", "bin-past-int64"],
     )
     @pytest.mark.parametrize("command", ["audit", "markov"])
     def test_bad_policy_file_is_structured(self, tmp_path, capsys, command, body, expected):
@@ -216,8 +247,14 @@ class TestSubcommands:
             ("mass.csv", "group,bin,y0,y1,mass\n0,50,0,1,0.5\nx,50,0,1,0.5\n", "ConfigError", "row 2"),
             ("mass.csv", "group,bin,y0,y1,mass\n0,50,0,7,0.5\n", "DomainError", "outcome value 7"),
             ("cf.csv", "aprime,i_group,i_bin,j_group,j_bin,mass\n1,0,50,1,51\n", "ConfigError", "row 1"),
+            ("mass.csv", "group,bin,y0,y1,mass\n0,50,0,1,0.5\n0,51,0,1,nan\n", "ConfigError", "row 2"),
+            ("cf.csv", "aprime,i_group,i_bin,j_group,j_bin,mass\n1,0,50,1,51,inf\n", "ConfigError", "row 1"),
+            ("mass.csv", "group,bin,y0,y1,mass\n0,9223372036854775808,0,1,0.5\n", "ConfigError", "row 1"),
         ],
-        ids=["missing-mass", "non-integer-group", "unknown-outcome", "short-cf-row"],
+        ids=[
+            "missing-mass", "non-integer-group", "unknown-outcome", "short-cf-row",
+            "nan-mass", "inf-cf-mass", "bin-past-int64",
+        ],
     )
     def test_bad_table_is_structured(self, tmp_path, capsys, table, body, error, expected):
         cfg = tiny_config(tmp_path)
@@ -245,8 +282,20 @@ class TestSubcommands:
             ('{"simulation": {"bin_width": 0}}', "bin_width must be positive"),
             ('{"simulation": {"score_lo": 5, "score_hi": 5}}', "score_lo must be below"),
             ('{"policy": {"b": "half"}}', "wrong type"),
+            ('{"policy": {"frontier_resolution": "x"}}', "frontier_resolution must be an integer"),
+            ('{"policy": {"frontier_resolution": 1}}', "frontier_resolution must be an integer"),
+            ('{"policy": {"frontier_resolution": 2.5}}', "frontier_resolution must be an integer"),
+            ('{"simulation": {"n": 1.5}}', "simulation.n must be an integer"),
+            ('{"simulation": {"seed": "x"}}', "simulation.seed must be an integer"),
+            ('{"simulation": {"seed": -1}}', "simulation.seed must be an integer"),
+            ('{"simulation": {"seed": 1.5}}', "simulation.seed must be an integer"),
+            ('{"simulation": {"seed": %d}}' % 2**96, "simulation.seed must be an integer"),
         ],
-        ids=["missing", "malformed", "not-object", "zero-width", "empty-range", "string-budget"],
+        ids=[
+            "missing", "malformed", "not-object", "zero-width", "empty-range", "string-budget",
+            "string-resolution", "resolution-one", "fractional-resolution", "fractional-n",
+            "string-seed", "negative-seed", "fractional-seed", "seed-2**96",
+        ],
     )
     def test_bad_config_is_structured(self, tmp_path, capsys, body, expected):
         path = tmp_path / "c.json"

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from causalfair.dist import (
     write_tables,
 )
 from causalfair.errors import (
+    CausalFairError,
     DomainError,
     EmptyInputError,
     InconsistentMassError,
@@ -86,6 +90,93 @@ def _reference_build_distribution(group, bin_index, y0, y1, cf, outcomes=(0, 1),
         cf_mass=cf_mass,
         groups=tuple(groups),
     )
+
+
+def _reference_from_table(rows, cf_rows=None, outcomes=(0, 1), groups=("a0", "a1")):
+    """The dict-per-row implementation that ``from_table`` replaced, kept as its oracle."""
+    rows = list(rows)
+    if not rows:
+        raise EmptyInputError("no rows")
+    k = len(outcomes)
+    outcome_index = {y: j for j, y in enumerate(outcomes)}
+    j0s = [outcome_index[r[2]] for r in rows]
+    j1s = [outcome_index[r[3]] for r in rows]
+
+    agg = {}
+    for (g, b, y0, y1, m), j0, j1 in zip(rows, j0s, j1s):
+        m = float(m)
+        if m < 0:
+            raise NegativeMassError(f"negative mass in row {(g, b, y0, y1, m)}")
+        key = (int(g), int(b))
+        cell = agg.setdefault(key, np.zeros((k, k)))
+        cell[j0, j1] += m
+
+    support = sorted(agg)
+    total = sum(cell.sum() for cell in agg.values())
+    if total <= 0:
+        raise ZeroMassError("table has zero total mass")
+
+    n = len(support)
+    om = np.zeros((n, k, k))
+    for i, key in enumerate(support):
+        om[i] = agg[key] / total
+    mass = om.sum(axis=(1, 2))
+
+    cf_mass = {}
+    if cf_rows:
+        point_of = {key: i for i, key in enumerate(support)}
+        for aprime, ig, ib, jg, jb, m in cf_rows:
+            m = float(m)
+            if m < 0:
+                raise NegativeMassError("negative counterfactual mass")
+            mat = cf_mass.setdefault(int(aprime), np.zeros((n, n)))
+            try:
+                mat[point_of[(int(ig), int(ib))], point_of[(int(jg), int(jb))]] += m / total
+            except KeyError as exc:
+                raise InconsistentMassError(f"counterfactual row references unknown point: {exc}")
+
+    return FiniteJointDistribution(
+        group=np.array([g for g, _ in support]),
+        bin=np.array([b for _, b in support]),
+        mass=mass,
+        outcome_mass=om,
+        outcomes=tuple(outcomes),
+        cf_mass=cf_mass,
+        groups=tuple(groups),
+    )
+
+
+def assert_same_distribution(got, want, rtol):
+    """Equal support and cf keys; every mass array equal within ``rtol``."""
+    np.testing.assert_array_equal(got.group, want.group)
+    np.testing.assert_array_equal(got.bin, want.bin)
+    np.testing.assert_allclose(got.mass, want.mass, rtol=rtol, atol=0)
+    np.testing.assert_allclose(got.outcome_mass, want.outcome_mass, rtol=rtol, atol=0)
+    assert sorted(got.cf_mass) == sorted(want.cf_mass)
+    for aprime, mat in want.cf_mass.items():
+        np.testing.assert_allclose(got.cf_mass[aprime], mat, rtol=rtol, atol=0)
+
+
+@st.composite
+def table_rows(draw):
+    """Mass and cf rows over 1-10 (group, bin) points with gapped and negative
+    bins, 2 or 3 outcomes and 0-3 aprime values, some masses zero. Points
+    repeat across mass rows, and each mass row gives one cf row per aprime to
+    a random point, so cf rows repeat too; both tables come shuffled."""
+    outcomes = draw(st.sampled_from([(0, 1), (1, 0), (0, 1, 2), (2, -1, 5)]))
+    cells = st.tuples(st.integers(-1, 2), st.sampled_from([-7, -4, -3, 0, 2, 6, 9]))
+    points = draw(st.lists(cells, min_size=1, max_size=10, unique=True))
+    masses = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+    y = st.sampled_from(outcomes)
+    rows = [
+        (g, b, draw(y), draw(y), draw(masses))
+        for g, b in points + draw(st.lists(st.sampled_from(points), max_size=10))
+    ]
+    aprimes = draw(st.lists(st.integers(0, 2), max_size=3, unique=True))
+    cf_rows = [
+        (a, g, b, *draw(st.sampled_from(points)), m) for a in aprimes for g, b, _, _, m in rows
+    ]
+    return draw(st.permutations(rows)), draw(st.permutations(cf_rows)), outcomes
 
 
 @st.composite
@@ -221,6 +312,36 @@ class TestBuildDistribution:
 
 
 class TestFromTable:
+    @settings(max_examples=300, deadline=None)
+    @given(table_rows())
+    def test_matches_dict_reference(self, tables):
+        rows, cf_rows, outcomes = tables
+        try:
+            want = _reference_from_table(rows, cf_rows, outcomes=outcomes)
+        except CausalFairError as exc:
+            with pytest.raises(type(exc)):
+                from_table(rows, cf_rows, outcomes=outcomes)
+            return
+        assert_same_distribution(from_table(rows, cf_rows, outcomes=outcomes), want, rtol=1e-14)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf / inf
+    def test_non_finite_mass(self):
+        rows = [(0, 1, 0, 0, 1.0), (0, 2, 0, 0, 1.0)]
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="non-finite"):
+                from_table([rows[0], (0, 2, 0, 0, bad)])
+            with pytest.raises(DomainError, match="non-finite"):
+                from_table(rows, [(1, 0, 1, 0, 1, 1.0), (1, 0, 2, 0, 2, bad)])
+            with pytest.raises(DomainError, match="non-finite"):
+                FiniteJointDistribution(
+                    group=[0, 0], bin=[1, 2], mass=[1.0, bad], outcome_mass=[[[1.0]], [[bad]]]
+                )
+
+    def test_far_apart_bins(self):
+        # The dense key table would have 2**30 cells; it is refused, not allocated.
+        with pytest.raises(DomainError, match="more than 2"):
+            from_table([(0, 0, 0, 0, 1.0), (0, 2**30, 0, 0, 1.0)])
+
     def test_normalization(self):
         d = from_table([(0, 1, 0, 0, 2.0), (1, 2, 1, 1, 2.0)])
         np.testing.assert_allclose(d.mass, [0.5, 0.5])
@@ -311,6 +432,16 @@ class TestDiscretize:
 
 
 class TestCsvRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(draw_arrays())
+    def test_write_then_load_property(self, arrays):
+        group, bins, y0, y1, cf, outcomes = arrays
+        d = build_distribution(group, bins, y0, y1, cf, outcomes=outcomes)
+        with tempfile.TemporaryDirectory() as tmp:
+            mass_path, cf_path = Path(tmp, "mass.csv"), Path(tmp, "cf.csv")
+            write_tables(d, mass_path, cf_path)
+            assert_same_distribution(load_tables(mass_path, cf_path, outcomes=outcomes), d, 1e-14)
+
     def test_write_then_load(self, tmp_path):
         d = tiny_dist()
         mass_path = tmp_path / "mass.csv"
