@@ -40,12 +40,6 @@ class BetaParams:
     def mean(self) -> float:
         return self.alpha / (self.alpha + self.beta)
 
-    @property
-    def mode(self) -> float:
-        if self.alpha > 1 and self.beta > 1:
-            return (self.alpha - 1) / (self.alpha + self.beta - 2)
-        return 0.5
-
 
 def from_mean_size(mu: float, v: float) -> BetaParams:
     """Mean/precision parameterization: alpha = mu v, beta = (1 - mu) v."""

@@ -74,7 +74,6 @@ class FiniteJointDistribution:
     outcome_mass: np.ndarray  # (n, k, k) float over (y0, y1) outcome indices
     outcomes: tuple = (0, 1)
     cf_mass: dict = field(default_factory=dict)  # group value -> (n, n) float
-    groups: tuple = ("a0", "a1")
 
     def __post_init__(self):
         self.group = np.asarray(self.group, dtype=np.int64)
@@ -120,7 +119,7 @@ class FiniteJointDistribution:
 
 @dataclass(frozen=True)
 class UtilityTable:
-    """Per-point utilities u = r + lambda * 1{group = target}."""
+    """Per-point utilities u = r + lambda * 1{group = 1}."""
 
     lam: float
     u: np.ndarray
@@ -134,7 +133,6 @@ def build_distribution(
     y1: np.ndarray,
     cf: dict,
     outcomes=(0, 1),
-    groups=("a0", "a1"),
 ) -> FiniteJointDistribution:
     """Aggregate per-draw arrays into empirical joint masses.
 
@@ -175,7 +173,6 @@ def build_distribution(
         outcome_mass=om_counts / n_draws,
         outcomes=tuple(outcomes),
         cf_mass=cf_mass,
-        groups=tuple(groups),
     )
 
 
@@ -263,10 +260,10 @@ def discretize(
         inputs = scm_mod.counterfactual_covariates(scm, sample, pi, target)
         cf[target] = (inputs[scm.group_node], binning.index(inputs[score_node]))
 
-    return build_distribution(group, bins, y0, y1, cf, groups=scm.groups)
+    return build_distribution(group, bins, y0, y1, cf)
 
 
-def from_table(rows, cf_rows=None, outcomes=(0, 1), groups=("a0", "a1")) -> FiniteJointDistribution:
+def from_table(rows, cf_rows=None, outcomes=(0, 1)) -> FiniteJointDistribution:
     """Build a distribution from explicit (group, bin, y0, y1, mass) rows.
 
     ``cf_rows``, when given, holds (aprime, i_group, i_bin, j_group, j_bin,
@@ -309,7 +306,6 @@ def from_table(rows, cf_rows=None, outcomes=(0, 1), groups=("a0", "a1")) -> Fini
         outcome_mass=om,
         outcomes=tuple(outcomes),
         cf_mass=cf_mass,
-        groups=tuple(groups),
     )
 
 
@@ -322,15 +318,15 @@ def transition_matrix(dist: FiniteJointDistribution, aprime: int) -> np.ndarray:
     return dist.cf_mass[aprime] / dist.mass[:, None]
 
 
-def utility_table(dist: FiniteJointDistribution, lam: float, target_group: int = 1) -> UtilityTable:
-    """Graduation probabilities r plus a diversity bonus on the target group."""
+def utility_table(dist: FiniteJointDistribution, lam: float) -> UtilityTable:
+    """Graduation probabilities r plus a diversity bonus on group 1."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if np.any(dist.mass <= 0):
         raise ZeroRowError("every support point needs positive mass")
     y_values = np.asarray(dist.outcomes, dtype=np.float64)
     r = dist.y1_joint() @ y_values / dist.mass
-    u = r + lam * (dist.group == target_group)
+    u = r + lam * (dist.group == 1)
     return UtilityTable(lam=float(lam), u=u, r=r)
 
 
@@ -402,8 +398,8 @@ def write_tables(dist: FiniteJointDistribution, mass_path, cf_path=None) -> None
         write_pair_table(cf_path, dist, dist.cf_mass, "mass")
 
 
-def load_tables(mass_path, cf_path=None, outcomes=(0, 1), groups=("a0", "a1")):
+def load_tables(mass_path, cf_path=None, outcomes=(0, 1)):
     """Read ``write_tables`` output; a malformed file raises ``ConfigError``."""
     rows = read_csv(mass_path, _MASS_COLUMNS, "mass table")
     cf_rows = [] if cf_path is None else read_csv(cf_path, _CF_COLUMNS, "counterfactual table")
-    return from_table(rows, cf_rows, outcomes=outcomes, groups=groups)
+    return from_table(rows, cf_rows, outcomes=outcomes)

@@ -9,7 +9,7 @@ and graduation axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class Policy:
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=np.float64)
-        if self.d.min(initial=0.0) < -1e-12 or self.d.max(initial=0.0) > 1 + 1e-12:
+        if not np.all((self.d >= -1e-12) & (self.d <= 1 + 1e-12)):  # NaN fails too
             raise ValueError("policy entries must lie in [0, 1]")
         self.d = np.clip(self.d, 0.0, 1.0)
 
@@ -59,8 +59,8 @@ class FrontierPoint:
     diversity: float
     graduation: float
     quantiles: dict  # group -> q_a
-    share: float = float("nan")
-    on_frontier: bool = False
+    share: float
+    on_frontier: bool
 
 
 def threshold_policy(
@@ -80,7 +80,8 @@ def threshold_policy(
     for a, q in quantiles.items():
         if not 0 <= q <= 1:
             raise ValueError(f"quantile for group {a} outside [0, 1]")
-        thresholds[a], at_threshold[a] = _cutoff(_utility_atoms(dist, utility, a), q)
+        t, at = _cutoffs(_utility_atoms(dist, utility, a), q)
+        thresholds[a], at_threshold[a] = float(t), float(at)
     return ThresholdPolicy(thresholds=thresholds, at_threshold=at_threshold)
 
 
@@ -98,13 +99,25 @@ def _utility_atoms(dist: FiniteJointDistribution, utility: UtilityTable, a):
     return -values, atom_w, cum_excl, cum_excl + atom_w
 
 
-def _cutoff(atoms, q: float):
-    """(threshold, at-threshold probability) that admit the rate ``q``."""
-    if q == 0:
-        return np.inf, 0.0
+def _cutoffs(atoms, q):
+    """(thresholds, at-threshold probabilities) that admit the rates ``q``,
+    a scalar or an array; a zero rate gets an infinite threshold."""
     values, atom_w, cum_excl, cum_incl = atoms
-    j = min(int(np.searchsorted(cum_incl, q - 1e-15)), len(values) - 1)
-    return float(values[j]), float(np.clip((q - cum_excl[j]) / atom_w[j], 0.0, 1.0))
+    j = np.minimum(np.searchsorted(cum_incl, q - 1e-15), len(values) - 1)
+    at = np.clip((q - cum_excl[j]) / atom_w[j], 0.0, 1.0)
+    return np.where(q == 0, np.inf, values[j]), np.where(q == 0, 0.0, at)
+
+
+def _admission(dist: FiniteJointDistribution, u: np.ndarray, cutoffs: dict) -> np.ndarray:
+    """Admission probabilities of shape (..., n) under ``cutoffs``, which maps
+    each group to (threshold, at-threshold probability), scalars or arrays
+    of shape (...). Points of groups without a cutoff are rejected."""
+    d = np.zeros(dist.n)
+    for a, (t, at) in cutoffs.items():
+        t, at = np.asarray(t)[..., None], np.asarray(at)[..., None]
+        sel = dist.group == a
+        d = np.where(sel & (u > t), 1.0, np.where(sel & (u == t), at, d))
+    return d
 
 
 def induced_policy(
@@ -112,21 +125,21 @@ def induced_policy(
     utility: UtilityTable,
     tp: ThresholdPolicy,
 ) -> Policy:
-    d = np.zeros(dist.n)
-    for a, t in tp.thresholds.items():
-        sel = dist.group == a
-        u = utility.u
-        d = np.where(sel & (u > t), 1.0, d)
-        d = np.where(sel & (u == t), tp.at_threshold[a], d)
-    return Policy(d=d)
+    cutoffs = {a: (t, tp.at_threshold[a]) for a, t in tp.thresholds.items()}
+    return Policy(d=_admission(dist, utility.u, cutoffs))
 
 
-def evaluate_policy(policy: Policy, dist: FiniteJointDistribution, target_group: int = 1):
+def _coordinates(d: np.ndarray, dist: FiniteJointDistribution, r: np.ndarray):
+    """(diversity, graduation) of admission probabilities ``d``, summed over
+    the last axis."""
+    weighted = d * dist.mass
+    return np.sum(weighted * (dist.group == 1), axis=-1), np.sum(weighted * r, axis=-1)
+
+
+def evaluate_policy(policy: Policy, dist: FiniteJointDistribution):
     """(diversity, graduation) coordinates of a policy."""
-    r = utility_table(dist, lam=0.0).r
-    diversity = float(np.sum(policy.d * dist.mass * (dist.group == target_group)))
-    graduation = float(np.sum(policy.d * dist.mass * r))
-    return diversity, graduation
+    diversity, graduation = _coordinates(policy.d, dist, utility_table(dist, lam=0.0).r)
+    return float(diversity), float(graduation)
 
 
 def frontier(dist: FiniteJointDistribution, b: float, resolution: int = 200):
@@ -139,7 +152,7 @@ def frontier(dist: FiniteJointDistribution, b: float, resolution: int = 200):
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    present = sorted(set(int(g) for g in dist.group))
+    present = np.unique(dist.group).tolist()
     if present != [0, 1]:
         raise MultiGroupUnsupportedError(
             f"frontier sweep needs exactly groups 0 and 1, got {present}"
@@ -147,39 +160,19 @@ def frontier(dist: FiniteJointDistribution, b: float, resolution: int = 200):
     if not 0 < b < 1:
         raise ValueError("b must lie in (0, 1)")
     u0 = utility_table(dist, lam=0.0)
-    p1 = dist.group_mass(1)
-    p0 = dist.group_mass(0)
-    # Sort each group's utilities once; every share only moves the cutoffs.
-    atoms = {a: _utility_atoms(dist, u0, a) for a in (0, 1)}
-    target = dist.group == 1
-
-    raw = []
-    for k in range(resolution + 1):
-        s = k / resolution
-        q1 = min(1.0, s * b / p1)
-        q0 = min(1.0, (1.0 - s) * b / p0)
-        (t0, at0), (t1, at1) = _cutoff(atoms[0], q0), _cutoff(atoms[1], q1)
-        tp = ThresholdPolicy(thresholds={0: t0, 1: t1}, at_threshold={0: at0, 1: at1})
-        # evaluate_policy's coordinates, with r computed once per sweep.
-        weighted = induced_policy(dist, u0, tp).d * dist.mass
-        diversity = float(np.sum(weighted * target))
-        graduation = float(np.sum(weighted * u0.r))
-        raw.append((s, q0, q1, diversity, graduation))
-
-    grads = np.array([g for *_, g in raw])
-    best = int(np.argmax(grads))
-    div_cut = raw[best][3]
-    points = [
-        FrontierPoint(
-            diversity=diversity,
-            graduation=graduation,
-            quantiles={0: q0, 1: q1},
-            share=s,
-            on_frontier=diversity >= div_cut - 1e-12,
+    share = np.arange(resolution + 1) / resolution
+    q1 = np.minimum(1.0, share * b / dist.group_mass(1))
+    q0 = np.minimum(1.0, (1.0 - share) * b / dist.group_mass(0))
+    # One row of admission probabilities per share.
+    cutoffs = {a: _cutoffs(_utility_atoms(dist, u0, a), q) for a, q in ((0, q0), (1, q1))}
+    diversity, graduation = _coordinates(_admission(dist, u0.u, cutoffs), dist, u0.r)
+    on_frontier = diversity >= diversity[np.argmax(graduation)] - 1e-12
+    return [
+        FrontierPoint(diversity=v, graduation=g, quantiles={0: a0, 1: a1}, share=s, on_frontier=f)
+        for s, a0, a1, v, g, f in zip(
+            *(x.tolist() for x in (share, q0, q1, diversity, graduation, on_frontier))
         )
-        for s, q0, q1, diversity, graduation in raw
     ]
-    return points
 
 
 def dominance_gap(policy: Policy, dist: FiniteJointDistribution, b: float, resolution: int = 200):
@@ -187,16 +180,12 @@ def dominance_gap(policy: Policy, dist: FiniteJointDistribution, b: float, resol
 
     Returns ``(delta_diversity, delta_graduation)`` for the sweep point that
     maximizes the smaller of the two improvements among points strictly
-    better in both coordinates, or ``None`` when no sweep point strictly
-    dominates.
+    better in both coordinates (the first such point on ties), or ``None``
+    when no sweep point strictly dominates.
     """
     diversity, graduation = evaluate_policy(policy, dist)
-    best = None
-    best_min = 0.0
-    for pt in frontier(dist, b, resolution):
-        dd = pt.diversity - diversity
-        dg = pt.graduation - graduation
-        if dd > 0 and dg > 0 and min(dd, dg) > best_min:
-            best_min = min(dd, dg)
-            best = (dd, dg)
-    return best
+    points = np.array([(pt.diversity, pt.graduation) for pt in frontier(dist, b, resolution)])
+    dd, dg = (points - (diversity, graduation)).T
+    gain = np.where((dd > 0) & (dg > 0), np.minimum(dd, dg), 0.0)
+    k = int(np.argmax(gain))
+    return (float(dd[k]), float(dg[k])) if gain[k] > 0 else None

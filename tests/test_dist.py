@@ -42,7 +42,7 @@ def tiny_dist():
     return from_table(rows, cf_rows)
 
 
-def _reference_build_distribution(group, bin_index, y0, y1, cf, outcomes=(0, 1), groups=("a0", "a1")):
+def _reference_build_distribution(group, bin_index, y0, y1, cf, outcomes=(0, 1)):
     """The per-draw implementation that ``build_distribution`` replaced, kept as its oracle."""
     n_draws = len(group)
     if n_draws == 0:
@@ -88,11 +88,10 @@ def _reference_build_distribution(group, bin_index, y0, y1, cf, outcomes=(0, 1),
         outcome_mass=om_counts / n_draws,
         outcomes=tuple(outcomes),
         cf_mass=cf_mass,
-        groups=tuple(groups),
     )
 
 
-def _reference_from_table(rows, cf_rows=None, outcomes=(0, 1), groups=("a0", "a1")):
+def _reference_from_table(rows, cf_rows=None, outcomes=(0, 1)):
     """The dict-per-row implementation that ``from_table`` replaced, kept as its oracle."""
     rows = list(rows)
     if not rows:
@@ -142,7 +141,6 @@ def _reference_from_table(rows, cf_rows=None, outcomes=(0, 1), groups=("a0", "a1
         outcome_mass=om,
         outcomes=tuple(outcomes),
         cf_mass=cf_mass,
-        groups=tuple(groups),
     )
 
 

@@ -110,7 +110,7 @@ def sparse_distributions(draw):
     weights = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 5]), min_size=len(cells), max_size=len(cells)))
     rows = [(*cell, w) for cell, w in zip(cells, weights) if w]
     assume(rows)
-    return from_table(rows, outcomes=tuple(range(k)), groups=tuple(f"a{g}" for g in range(n_groups)))
+    return from_table(rows, outcomes=tuple(range(k)))
 
 
 def _rank(m):

@@ -8,7 +8,8 @@ from scipy.optimize import linprog as scipy_linprog
 
 from causalfair.dist import from_table, utility_table
 from causalfair.fairness import KINDS, FairnessSpec, budget_row, constraint_sets, solve_fair
-from causalfair.linprog import CHECK_TOL, LinearProgram, LpSolution, solve
+from causalfair.errors import SolverError
+from causalfair.linprog import CHECK_TOL, LinearProgram, LpSolution, _run_simplex, solve
 
 
 def brute_force_box(lp, step=0.05):
@@ -117,6 +118,14 @@ class TestBasics:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             solve(LinearProgram(objective=np.array([1.0])), tol=0.0)
+
+    def test_infinite_ratio_step_raises(self):
+        # Boxed programs cannot be unbounded, so an entering column with no
+        # blocking row or bound is a numerical breakdown, not a status.
+        T = np.array([[1.0, 0.0]])
+        lo, hi = np.zeros(2), np.full(2, np.inf)
+        with pytest.raises(SolverError):
+            _run_simplex(T, lo.copy(), lo, hi, np.array([0.0, 1.0]), np.array([0]), 1e-9)
 
 
 class TestAgainstGridSearch:

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalfair.dist import Binning, discretize, from_table, utility_table
 from causalfair.errors import GroupMassZeroError, MultiGroupUnsupportedError
 from causalfair.fairness import FairnessSpec, solve_fair
 from causalfair.pareto import (
+    FrontierPoint,
     Policy,
+    ThresholdPolicy,
+    _utility_atoms,
     dominance_gap,
-    evaluate_policy,
     frontier,
     induced_policy,
     threshold_policy,
@@ -31,6 +35,93 @@ def admissions_dist(n=20000, seed=1):
     pi = PathSet(paths=(("A", "E", "T", "D"),))
     sample = draw_worlds(scm, pi, targets=[0, 1], n=n, seed=seed)
     return discretize(scm, sample, pi, Binning())
+
+
+# The per-share sweep and the point loop that ``frontier`` and
+# ``dominance_gap`` replaced, kept as their oracles: the array versions must
+# reproduce every coordinate, quantile and gap exactly.
+
+
+def _reference_cutoff(atoms, q):
+    if q == 0:
+        return np.inf, 0.0
+    values, atom_w, cum_excl, cum_incl = atoms
+    j = min(int(np.searchsorted(cum_incl, q - 1e-15)), len(values) - 1)
+    return float(values[j]), float(np.clip((q - cum_excl[j]) / atom_w[j], 0.0, 1.0))
+
+
+def _reference_threshold_policy(dist, utility, quantiles):
+    cuts = {a: _reference_cutoff(_utility_atoms(dist, utility, a), q) for a, q in quantiles.items()}
+    return ThresholdPolicy(
+        thresholds={a: t for a, (t, _) in cuts.items()},
+        at_threshold={a: at for a, (_, at) in cuts.items()},
+    )
+
+
+def _reference_induced_policy(dist, utility, tp):
+    d = np.zeros(dist.n)
+    for a, t in tp.thresholds.items():
+        sel = dist.group == a
+        d = np.where(sel & (utility.u > t), 1.0, d)
+        d = np.where(sel & (utility.u == t), tp.at_threshold[a], d)
+    return Policy(d=d)
+
+
+def _reference_evaluate_policy(policy, dist):
+    r = utility_table(dist, lam=0.0).r
+    diversity = float(np.sum(policy.d * dist.mass * (dist.group == 1)))
+    graduation = float(np.sum(policy.d * dist.mass * r))
+    return diversity, graduation
+
+
+def _reference_frontier(dist, b, resolution):
+    u0 = utility_table(dist, lam=0.0)
+    p1, p0 = dist.group_mass(1), dist.group_mass(0)
+    raw = []
+    for k in range(resolution + 1):
+        s = k / resolution
+        q = {0: min(1.0, (1.0 - s) * b / p0), 1: min(1.0, s * b / p1)}
+        policy = _reference_induced_policy(dist, u0, _reference_threshold_policy(dist, u0, q))
+        raw.append((s, q, *_reference_evaluate_policy(policy, dist)))
+    div_cut = raw[int(np.argmax([g for *_, g in raw]))][2]
+    return [
+        FrontierPoint(diversity=v, graduation=g, quantiles=q, share=s, on_frontier=v >= div_cut - 1e-12)
+        for s, q, v, g in raw
+    ]
+
+
+def _reference_dominance_gap(policy, dist, b, resolution):
+    diversity, graduation = _reference_evaluate_policy(policy, dist)
+    best = None
+    best_min = 0.0
+    for pt in _reference_frontier(dist, b, resolution):
+        dd = pt.diversity - diversity
+        dg = pt.graduation - graduation
+        if dd > 0 and dg > 0 and min(dd, dg) > best_min:
+            best_min = min(dd, dg)
+            best = (dd, dg)
+    return best
+
+
+unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def sweep_cases(draw):
+    """A two-group distribution with 1-5 score bins per group, a budget, a
+    resolution, per-group quantiles and a policy. Each cell's Y(1) = 1 share
+    is one of five ratios, so utilities tie within and across groups; group
+    1's cells are scaled so its mass falls below and above the budget."""
+    scale = {0: 1.0, 1: draw(st.sampled_from([0.05, 0.3, 1.0, 4.0, 20.0]))}
+    rows = []
+    for g in (0, 1):
+        for k in range(draw(st.integers(1, 5))):
+            w0, w1 = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]))
+            m = scale[g] * draw(st.floats(0.1, 10.0))
+            rows += [(g, k, 0, 0, w0 * m), (g, k, 1, 1, w1 * m)]
+    dist = from_table(rows)
+    d = draw(st.lists(unit, min_size=dist.n, max_size=dist.n))
+    return dist, draw(st.floats(0.05, 0.9)), draw(st.integers(2, 59)), {0: draw(unit), 1: draw(unit)}, d
 
 
 class TestThresholdPolicy:
@@ -64,8 +155,8 @@ class TestThresholdPolicy:
         d = admissions_dist(n=5000)
         util = utility_table(d, 0.0)
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            q = {0: float(rng.uniform(0, 1)), 1: float(rng.uniform(0, 1))}
+        edges = [{0: 0.0, 1: 1.0}, {0: 1.0, 1: 0.0}]
+        for q in edges + [{0: float(rng.uniform(0, 1)), 1: float(rng.uniform(0, 1))} for _ in range(20)]:
             tp = threshold_policy(d, util, q)
             pol = induced_policy(d, util, tp)
             for a in (0, 1):
@@ -133,6 +224,43 @@ class TestFrontier:
         d = three_atom_dist()
         with pytest.raises(MultiGroupUnsupportedError):
             frontier(d, b=0.5, resolution=10)
+
+
+class TestReferenceSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_cases())
+    def test_matches_per_share_reference(self, case):
+        dist, b, resolution, quantiles, d = case
+        util = utility_table(dist, 0.0)
+        tp = threshold_policy(dist, util, quantiles)
+        assert repr(tp) == repr(_reference_threshold_policy(dist, util, quantiles))
+        np.testing.assert_array_equal(induced_policy(dist, util, tp).d, _reference_induced_policy(dist, util, tp).d)
+
+        points = frontier(dist, b, resolution)
+        want = _reference_frontier(dist, b, resolution)
+        assert points == want
+        assert repr(points) == repr(want)
+
+        policy = Policy(d=d)
+        gap = dominance_gap(policy, dist, b, resolution)
+        assert gap == _reference_dominance_gap(policy, dist, b, resolution)
+        assert repr(gap) == repr(_reference_dominance_gap(policy, dist, b, resolution))
+        # Nothing in the sweep beats its best graduation or its s = 1 diversity.
+        peak = points[int(np.argmax([pt.graduation for pt in points]))]
+        for pt in (peak, points[-1]):
+            policy = induced_policy(dist, util, threshold_policy(dist, util, pt.quantiles))
+            assert dominance_gap(policy, dist, b, resolution) is None
+            assert _reference_dominance_gap(policy, dist, b, resolution) is None
+
+
+class TestPolicy:
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+    def test_entry_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Policy(d=[bad, 0.5])
+
+    def test_rounding_slack_clipped(self):
+        np.testing.assert_array_equal(Policy(d=[-1e-13, 0.5, 1 + 1e-13]).d, [0.0, 0.5, 1.0])
 
 
 class TestDominanceGap:
