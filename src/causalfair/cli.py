@@ -10,6 +10,7 @@ CSVs. All outputs are deterministic given the config bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -105,34 +106,52 @@ def _is_int(value, lo, hi=None) -> bool:
     return type(value) is int and lo <= value and (hi is None or value < hi)
 
 
+_ROLE_KEYS = ("group_node", "decision_node", "decision_parents", "outcome_node")
+_SCM_KEYS = ("constants", "paths")
+_EQUATION_KEYS = {f.name for f in dataclasses.fields(scm_mod.Equation)}
+
+
 def build_scm(scm_block):
-    """Admissions model by default; a declarative node list otherwise."""
-    if "nodes" not in scm_block:
-        return scm_mod.admissions_scm(scm_block.get("constants") or None)
-    nodes = scm_block["nodes"]
-    names = tuple(spec["name"] for spec in nodes)
-    parents = {spec["name"]: tuple(spec.get("parents", ())) for spec in nodes}
-    equations = {}
-    exogenous = {}
-    for spec in nodes:
-        eq = dict(spec["equation"])
-        form = eq.pop("form")
-        if "coeffs" in eq:
-            eq["coeffs"] = dict(eq["coeffs"])
-        if "interactions" in eq:
-            eq["interactions"] = tuple((p1, p2, float(c)) for p1, p2, c in eq["interactions"])
-        equations[spec["name"]] = scm_mod.Equation(form=form, **eq)
-        exogenous[spec["name"]] = spec.get("exogenous", "uniform-0-1")
-    return scm_mod.Scm(
-        dag=scm_mod.CausalDag(nodes=names, parents=parents),
-        equations=equations,
-        exogenous=exogenous,
-        group_node=scm_block["group_node"],
-        decision_node=scm_block["decision_node"],
-        decision_parents=tuple(scm_block["decision_parents"]),
-        outcome_node=scm_block["outcome_node"],
-        groups=tuple(scm_block.get("groups", ("a0", "a1"))),
-    )
+    """Admissions model by default; a declarative node list otherwise. A
+    malformed block raises ``ConfigError``, or ``UnknownNodeError`` for a name."""
+    declared = "nodes" in scm_block
+    unknown = sorted(set(scm_block) - {*_SCM_KEYS, *(("nodes", *_ROLE_KEYS) if declared else ())})
+    if unknown:
+        raise ConfigError(f"unknown scm key {unknown[0]!r}")
+    try:
+        if not declared:
+            return scm_mod.admissions_scm(scm_block.get("constants") or None)
+        nodes = [(spec["name"], spec) for spec in scm_block["nodes"]]
+        parents = {name: tuple(spec.get("parents", ())) for name, spec in nodes}
+        equations = {name: _equation(spec["equation"]) for name, spec in nodes}
+        exogenous = {name: spec.get("exogenous", "uniform-0-1") for name, spec in nodes}
+        roles = {key: scm_block[key] for key in _ROLE_KEYS}
+        roles["decision_parents"] = tuple(roles["decision_parents"])
+    except KeyError as exc:
+        raise ConfigError(f"scm block is missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"scm block value of the wrong type: {exc}") from exc
+    dag = scm_mod.CausalDag(nodes=tuple(name for name, _ in nodes), parents=parents)
+    return scm_mod.Scm(dag=dag, equations=equations, exogenous=exogenous, **roles)
+
+
+def _equation(spec):
+    eq = dict(spec)
+    unknown = sorted(set(eq) - _EQUATION_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown equation key {unknown[0]!r}")
+    for key in ("threshold", "intercept", "noise_scale", "decision_coeff"):
+        if key in eq:
+            eq[key] = _number(eq[key])
+    eq["coeffs"] = {p: _number(c) for p, c in eq.get("coeffs", {}).items()}
+    eq["interactions"] = tuple((p1, p2, _number(c)) for p1, p2, c in eq.get("interactions", ()))
+    return scm_mod.Equation(form=eq.pop("form"), **eq)
+
+
+def _number(value):
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def path_set(scm, scm_block):
@@ -152,12 +171,11 @@ def simulate(config):
     pi = path_set(model, config["scm"])
     sim = config["simulation"]
     binning = dist_mod.Binning(width=sim["bin_width"], lo=sim["score_lo"], hi=sim["score_hi"])
-    targets = list(range(len(model.groups)))
+    targets = [0, 1]
     sample = scm_mod.draw_worlds(model, pi, targets, n=sim["n"], seed=sim["seed"])
-    d_pi = dist_mod.discretize(model, sample, pi, binning)
-    pi_all = scm_mod.all_paths(model)
-    scm_mod.add_counterfactuals(model, sample, pi_all, targets)
-    d_all = dist_mod.discretize(model, sample, pi_all, binning)
+    d_pi = dist_mod.discretize(model, sample, binning)
+    scm_mod.add_counterfactuals(model, sample, scm_mod.all_paths(model), targets)
+    d_all = dist_mod.discretize(model, sample, binning)
     return d_pi, d_all
 
 

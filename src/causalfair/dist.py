@@ -238,28 +238,27 @@ def _snap_table(grid: np.ndarray) -> np.ndarray:
 def discretize(
     scm: "scm_mod.Scm",
     sample: "scm_mod.WorldSample",
-    pi: "scm_mod.PathSet",
     binning: Binning,
 ) -> FiniteJointDistribution:
     """Bin a Monte Carlo sample into a finite joint distribution.
 
-    The score is the non-group decision parent; counterfactual covariates
-    follow the path-specific propagation rule for the decision's inputs.
+    The score is the one non-group decision parent (``ConfigError`` unless
+    there is exactly one); each target's counterfactual covariates are the
+    barred group and score values in ``sample.counterfactual``.
     """
     score_nodes = [p for p in scm.decision_parents if p != scm.group_node]
     if len(score_nodes) != 1:
-        raise ValueError("expected exactly one non-group decision parent")
+        raise ConfigError(f"expected exactly one non-group decision parent, got {score_nodes}")
     score_node = score_nodes[0]
 
     group = sample.factual[scm.group_node]
     bins = binning.index(sample.factual[score_node])
     y0, y1 = scm_mod.potential_outcomes(scm, sample)
 
-    cf = {}
-    for target in sample.counterfactual:
-        inputs = scm_mod.counterfactual_covariates(scm, sample, pi, target)
-        cf[target] = (inputs[scm.group_node], binning.index(inputs[score_node]))
-
+    cf = {
+        target: (barred[scm.group_node], binning.index(barred[score_node]))
+        for target, barred in sample.counterfactual.items()
+    }
     return build_distribution(group, bins, y0, y1, cf)
 
 

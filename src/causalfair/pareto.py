@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteJointDistribution, UtilityTable, utility_table
+from .dist import _SUM_TOL, FiniteJointDistribution, UtilityTable, utility_table
 from .errors import GroupMassZeroError, MultiGroupUnsupportedError
 
 __all__ = [
@@ -179,13 +179,13 @@ def dominance_gap(policy: Policy, dist: FiniteJointDistribution, b: float, resol
     """Strict improvement available over ``policy`` along the frontier sweep.
 
     Returns ``(delta_diversity, delta_graduation)`` for the sweep point that
-    maximizes the smaller of the two improvements among points strictly
-    better in both coordinates (the first such point on ties), or ``None``
-    when no sweep point strictly dominates.
+    maximizes the smaller of the two improvements among points better by
+    more than the rounding floor ``_SUM_TOL`` in both coordinates (the first
+    such point on ties), or ``None`` when no sweep point dominates so.
     """
     diversity, graduation = evaluate_policy(policy, dist)
     points = np.array([(pt.diversity, pt.graduation) for pt in frontier(dist, b, resolution)])
     dd, dg = (points - (diversity, graduation)).T
-    gain = np.where((dd > 0) & (dg > 0), np.minimum(dd, dg), 0.0)
+    gain = np.where((dd > _SUM_TOL) & (dg > _SUM_TOL), np.minimum(dd, dg), 0.0)
     k = int(np.argmax(gain))
     return (float(dd[k]), float(dg[k])) if gain[k] > 0 else None

@@ -9,12 +9,11 @@ depend on evaluation order or thread count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CycleError, MissingConstantError, UnknownNodeError
+from .errors import ConfigError, CycleError, MissingConstantError, UnknownNodeError
 
 __all__ = [
     "CausalDag",
@@ -27,7 +26,6 @@ __all__ = [
     "draw_worlds",
     "evaluate_worlds",
     "add_counterfactuals",
-    "counterfactual_covariates",
     "potential_outcomes",
     "admissions_scm",
     "ADMISSIONS_CONSTANT_NAMES",
@@ -83,16 +81,20 @@ def validate_and_order(dag: CausalDag) -> CausalDag:
     return CausalDag(nodes=tuple(order), parents={v: tuple(dag.parents.get(v, ())) for v in order})
 
 
+_FORMS = ("group-threshold", "linear", "linear-interaction", "logistic-threshold", "decision")
+_EXOGENOUS_KINDS = ("uniform-0-1", "standard-normal")
+
+
 @dataclass(frozen=True)
 class Equation:
     """A structural equation drawn from a small closed set of forms.
 
-    Forms:
+    With the linear predictor ``z = intercept + sum(coeffs[p] * parent_p)``
+    plus, on ``linear-interaction`` only, ``sum(c * p1 * p2)`` over
+    ``interactions``, the forms are:
       - ``group-threshold``: indicator ``1 if u <= threshold else 0``
-      - ``linear``: ``intercept + sum(coeffs[p] * parent_p) + noise_scale * u``
-      - ``linear-interaction``: linear plus ``sum(c * p1 * p2)`` terms
-      - ``logistic-threshold``: ``1{u <= logit^-1(intercept + sum(coeffs) +
-        decision_coeff * delta)}``
+      - ``linear``, ``linear-interaction``: ``z + noise_scale * u``
+      - ``logistic-threshold``: ``1{u <= logit^-1(z + decision_coeff * delta)}``
       - ``decision``: placeholder for the policy node; never evaluated here
     """
 
@@ -104,50 +106,72 @@ class Equation:
     noise_scale: float = 1.0
     decision_coeff: float = 0.0
 
+    def __post_init__(self):
+        if self.form not in _FORMS:
+            raise ConfigError(f"unknown equation form {self.form!r}; expected one of {_FORMS}")
+        if self.interactions and self.form != "linear-interaction":
+            raise ConfigError(f"interactions need the linear-interaction form, not {self.form!r}")
+
     def evaluate(self, parent_values: dict, u: np.ndarray, delta: float | None = None) -> np.ndarray:
         if self.form == "group-threshold":
             return (u <= self.threshold).astype(np.int64)
-        if self.form in ("linear", "linear-interaction"):
-            out = np.full_like(u, self.intercept, dtype=np.float64)
-            for p, c in self.coeffs.items():
-                out += c * np.asarray(parent_values[p], dtype=np.float64)
-            if self.form == "linear-interaction":
-                for p1, p2, c in self.interactions:
-                    out += c * np.asarray(parent_values[p1], dtype=np.float64) * np.asarray(
-                        parent_values[p2], dtype=np.float64
-                    )
-            return out + self.noise_scale * u
-        if self.form == "logistic-threshold":
-            z = np.full_like(u, self.intercept, dtype=np.float64)
-            for p, c in self.coeffs.items():
-                z += c * np.asarray(parent_values[p], dtype=np.float64)
-            if delta is not None:
-                z += self.decision_coeff * delta
-            prob = 1.0 / (1.0 + np.exp(-z))
-            return (u <= prob).astype(np.int64)
-        raise ValueError(f"equation form {self.form!r} cannot be evaluated")
+        z = np.full_like(u, self.intercept, dtype=np.float64)
+        for p, c in self.coeffs.items():
+            z += c * np.asarray(parent_values[p], dtype=np.float64)
+        for p1, p2, c in self.interactions:
+            z += c * np.asarray(parent_values[p1], dtype=np.float64) * np.asarray(
+                parent_values[p2], dtype=np.float64
+            )
+        if self.form != "logistic-threshold":
+            return z + self.noise_scale * u
+        if delta is not None:
+            z += self.decision_coeff * delta
+        return (u <= 1.0 / (1.0 + np.exp(-z))).astype(np.int64)
 
 
 @dataclass(frozen=True)
 class Scm:
-    """A causal DAG plus structural equations and exogenous specs."""
+    """A causal DAG plus structural equations and exogenous specs.
+
+    The group node's ``group-threshold`` form makes the groups 0 and 1. A
+    malformed model raises ``ConfigError``, or ``UnknownNodeError`` for a name.
+    """
 
     dag: CausalDag
     equations: dict
-    exogenous: dict  # node -> "uniform-0-1" | "standard-normal"
+    exogenous: dict  # node -> one of _EXOGENOUS_KINDS
     group_node: str
     decision_node: str
     decision_parents: tuple
     outcome_node: str
-    groups: tuple = ("a0", "a1")
 
     def __post_init__(self):
         object.__setattr__(self, "dag", validate_and_order(self.dag))
+        for name in (self.group_node, self.decision_node, self.outcome_node):
+            if name not in self.dag.nodes:
+                raise UnknownNodeError(f"role node {name!r} is not in the DAG")
+        if self.decision_node == self.outcome_node:
+            raise ConfigError("the decision and outcome nodes must differ")
+        sampled = set(self.sampled_nodes)
         for v in self.dag.nodes:
-            if v not in self.equations:
-                raise UnknownNodeError(f"no equation for node {v!r}")
-            if v not in self.exogenous:
-                raise UnknownNodeError(f"no exogenous spec for node {v!r}")
+            if v not in self.equations or v not in self.exogenous:
+                raise UnknownNodeError(f"no equation or no exogenous spec for node {v!r}")
+            if self.exogenous[v] not in _EXOGENOUS_KINDS:
+                raise ConfigError(f"node {v!r}: unknown exogenous kind {self.exogenous[v]!r}")
+            eq, parents = self.equations[v], set(self.dag.parents[v])
+            if (eq.form == "decision") != (v == self.decision_node):
+                raise ConfigError(f"node {v!r}: the decision node, and only it, uses the decision form")
+            if v in sampled and not parents <= sampled:
+                raise ConfigError(f"node {v!r} precedes the decision but has it or the outcome as parent")
+            # The decision enters an equation only through decision_coeff.
+            for p in (*eq.coeffs, *(p for term in eq.interactions for p in term[:2])):
+                if p not in parents - {self.decision_node}:
+                    raise UnknownNodeError(f"equation of {v!r} reads {p!r}, not a non-decision parent")
+        for p in (self.group_node, *self.decision_parents):
+            if p not in sampled:
+                raise UnknownNodeError(f"group or decision parent {p!r} is not sampled before the decision")
+        if self.equations[self.group_node].form != "group-threshold":
+            raise ConfigError(f"group node {self.group_node!r} must use the group-threshold form")
 
     @property
     def sampled_nodes(self):
@@ -215,39 +239,28 @@ def _sample_exogenous(scm: Scm, n: int, seed: int) -> dict:
     out = {}
     for idx, node in enumerate(scm.dag.nodes):
         gen = _node_stream(seed, idx)
-        kind = scm.exogenous[node]
-        if kind == "uniform-0-1":
+        if scm.exogenous[node] == "uniform-0-1":
             out[node] = gen.uniform(0.0, 1.0, size=n)
-        elif kind == "standard-normal":
-            out[node] = gen.standard_normal(n)
         else:
-            raise ValueError(f"unknown exogenous kind {kind!r}")
+            out[node] = gen.standard_normal(n)
     return out
 
 
-def _factual_pass(scm: Scm, exo: dict) -> dict:
+def _propagate(scm: Scm, exo: dict, on_path, factual: dict | None = None, target=None) -> dict:
+    """Evaluate the sampled nodes in order on the noise ``exo``. A parent
+    passes its value from this pass along an edge in ``on_path``, else its
+    ``factual`` value; a ``target`` sets the group node. With every DAG edge
+    on the path and no target, this is the factual pass."""
     values = {}
     for node in scm.sampled_nodes:
-        eq = scm.equations[node]
-        parent_vals = {p: values[p] for p in scm.dag.parents.get(node, ())}
-        values[node] = eq.evaluate(parent_vals, exo[node])
-    return values
-
-
-def _barred_pass(scm: Scm, exo: dict, factual: dict, on_path: frozenset, target: int, n: int) -> dict:
-    barred = {}
-    for node in scm.sampled_nodes:
-        if node == scm.group_node:
-            barred[node] = np.full(n, target, dtype=np.int64)
+        if node == scm.group_node and target is not None:
+            values[node] = np.full(len(exo[node]), target, dtype=np.int64)
             continue
-        dagger = {}
-        for parent in scm.dag.parents.get(node, ()):
-            if (parent, node) in on_path:
-                dagger[parent] = barred[parent]
-            else:
-                dagger[parent] = factual[parent]
-        barred[node] = scm.equations[node].evaluate(dagger, exo[node])
-    return barred
+        parents = {
+            p: values[p] if (p, node) in on_path else factual[p] for p in scm.dag.parents[node]
+        }
+        values[node] = scm.equations[node].evaluate(parents, exo[node])
+    return values
 
 
 def draw_worlds(scm: Scm, pi: PathSet, targets, n: int, seed: int) -> WorldSample:
@@ -265,11 +278,11 @@ def draw_worlds(scm: Scm, pi: PathSet, targets, n: int, seed: int) -> WorldSampl
 def evaluate_worlds(scm: Scm, pi: PathSet, targets, exogenous: dict) -> WorldSample:
     """Like ``draw_worlds`` but with caller-supplied exogenous arrays."""
     for t in targets:
-        if not 0 <= t < len(scm.groups):
+        if t not in (0, 1):
             raise ValueError(f"target {t} outside group range")
     n = len(next(iter(exogenous.values())))
     exo = {node: np.asarray(exogenous[node], dtype=np.float64) for node in scm.dag.nodes}
-    factual = _factual_pass(scm, exo)
+    factual = _propagate(scm, exo, scm.dag.edges())
     sample = WorldSample(n=n, exogenous=exo, factual=factual, counterfactual={})
     add_counterfactuals(scm, sample, pi, targets)
     return sample
@@ -279,52 +292,20 @@ def add_counterfactuals(scm: Scm, sample: WorldSample, pi: PathSet, targets) -> 
     """Compute barred values for each target, overwriting existing ones."""
     on_path = pi.edge_set(scm.dag)
     for target in targets:
-        sample.counterfactual[target] = _barred_pass(
-            scm, sample.exogenous, sample.factual, on_path, target, sample.n
+        sample.counterfactual[target] = _propagate(
+            scm, sample.exogenous, on_path, sample.factual, target
         )
 
 
-def counterfactual_covariates(scm: Scm, sample: WorldSample, pi: PathSet, target: int) -> dict:
-    """The counterfactual covariate vector for one target group value.
-
-    This is the barred value of each decision parent: the group component is
-    the target value itself, and downstream covariates reflect propagation
-    along the paths in ``pi``. (It is the covariate analog of the barred
-    pass, not the decision node's mixed factual/barred input rule; the
-    fairness constraints compare decisions against this vector.)
-    """
-    barred = sample.counterfactual[target]
-    return {parent: barred[parent] for parent in scm.decision_parents}
-
-
 def potential_outcomes(scm: Scm, sample: WorldSample):
-    """Evaluate the outcome equation under decision 0 and 1, same noise."""
+    """Evaluate the outcome equation under decision 0 and 1, same noise.
+
+    The equation reads only non-decision parents, which are all sampled.
+    """
     eq = scm.equations[scm.outcome_node]
     u = sample.exogenous[scm.outcome_node]
-    parents = {
-        p: sample.factual[p]
-        for p in scm.dag.parents.get(scm.outcome_node, ())
-        if p != scm.decision_node
-    }
-    y0 = eq.evaluate(parents, u, delta=0.0)
-    y1 = eq.evaluate(parents, u, delta=1.0)
-    return y0, y1
+    return eq.evaluate(sample.factual, u, delta=0.0), eq.evaluate(sample.factual, u, delta=1.0)
 
-
-ADMISSIONS_CONSTANT_NAMES = (
-    "mu_A",
-    "beta_E_0",
-    "beta_E_A",
-    "beta_M_0",
-    "beta_M_E",
-    "beta_T_0",
-    "beta_T_E",
-    "beta_T_M",
-    "beta_T_B",
-    "beta_T_u",
-    "beta_Y_0",
-    "beta_Y_D",
-)
 
 _ADMISSIONS_DEFAULTS = {
     "mu_A": 1.0 / 3.0,
@@ -340,6 +321,7 @@ _ADMISSIONS_DEFAULTS = {
     "beta_Y_0": -0.5,
     "beta_Y_D": 0.5,
 }
+ADMISSIONS_CONSTANT_NAMES = tuple(_ADMISSIONS_DEFAULTS)
 
 
 def admissions_scm(constants: dict | None = None) -> Scm:
@@ -402,5 +384,4 @@ def admissions_scm(constants: dict | None = None) -> Scm:
         decision_node="D",
         decision_parents=("A", "T"),
         outcome_node="Y",
-        groups=("a0", "a1"),
     )

@@ -15,6 +15,7 @@ from causalfair import cli, linprog
 from causalfair.dist import from_table, load_tables
 from causalfair.errors import ConfigError
 from causalfair.fairness import KINDS
+from causalfair.scm import ADMISSIONS_CONSTANT_NAMES
 
 
 def tiny_config(tmp_path, **policy):
@@ -82,31 +83,79 @@ class TestReadPolicyCsv:
             cli.read_policy_csv(path, self._dist())
 
 
+def declarative_block():
+    return {
+        "nodes": [
+            {"name": "A", "parents": [], "exogenous": "uniform-0-1",
+             "equation": {"form": "group-threshold", "threshold": 0.5}},
+            {"name": "S", "parents": ["A"], "exogenous": "standard-normal",
+             "equation": {"form": "linear", "intercept": 10.0,
+                          "coeffs": {"A": 2.0}, "noise_scale": 3.0}},
+            {"name": "D", "parents": ["A", "S"], "exogenous": "uniform-0-1",
+             "equation": {"form": "decision"}},
+            {"name": "Y", "parents": ["S", "D"], "exogenous": "uniform-0-1",
+             "equation": {"form": "logistic-threshold", "coeffs": {"S": 0.1},
+                          "decision_coeff": 1.0}},
+        ],
+        "group_node": "A",
+        "decision_node": "D",
+        "decision_parents": ["A", "S"],
+        "outcome_node": "Y",
+        "paths": [["A", "S", "D"]],
+    }
+
+
+def _second_score(block):
+    block["nodes"].insert(2, {"name": "R", "parents": ["A"], "equation": {"form": "linear"}})
+    block["nodes"][3]["parents"].append("R")
+    block["decision_parents"].append("R")
+
+
 class TestCustomScm:
     def test_declarative_model(self):
-        block = {
-            "nodes": [
-                {"name": "A", "parents": [], "exogenous": "uniform-0-1",
-                 "equation": {"form": "group-threshold", "threshold": 0.5}},
-                {"name": "S", "parents": ["A"], "exogenous": "standard-normal",
-                 "equation": {"form": "linear", "intercept": 10.0,
-                              "coeffs": {"A": 2.0}, "noise_scale": 3.0}},
-                {"name": "D", "parents": ["A", "S"], "exogenous": "uniform-0-1",
-                 "equation": {"form": "decision"}},
-                {"name": "Y", "parents": ["S", "D"], "exogenous": "uniform-0-1",
-                 "equation": {"form": "logistic-threshold", "coeffs": {"S": 0.1},
-                              "decision_coeff": 1.0}},
-            ],
-            "group_node": "A",
-            "decision_node": "D",
-            "decision_parents": ["A", "S"],
-            "outcome_node": "Y",
-            "paths": [["A", "S", "D"]],
-        }
+        block = declarative_block()
         model = cli.build_scm(block)
         assert model.dag.nodes == ("A", "S", "D", "Y")
         pi = cli.path_set(model, block)
         assert pi.paths == (("A", "S", "D"),)
+
+    @pytest.mark.parametrize(
+        "edit, error, expected",
+        [
+            (lambda b: b["nodes"][1]["equation"].update(form="quadratic"), "ConfigError", "unknown equation form"),
+            (lambda b: b["nodes"][1].update(exogenous="cauchy"), "ConfigError", "unknown exogenous kind"),
+            (lambda b: b["nodes"][1]["equation"].update(slope=1.0), "ConfigError", "unknown equation key 'slope'"),
+            (lambda b: b["nodes"][1].pop("equation"), "ConfigError", "missing key 'equation'"),
+            (lambda b: b.pop("group_node"), "ConfigError", "missing key 'group_node'"),
+            (lambda b: b.update(group_node="Z"), "UnknownNodeError", "role node 'Z'"),
+            (_second_score, "ConfigError", "exactly one non-group decision parent"),
+            (lambda b: b["nodes"][1]["equation"]["coeffs"].update(Q=1.0), "UnknownNodeError", "reads 'Q'"),
+            (lambda b: b["nodes"][0]["equation"].update(threshold="half"), "ConfigError", "wrong type"),
+            (lambda b: b["nodes"][1]["equation"].update(interactions=[["A", "A", 1.0]]), "ConfigError",
+             "interactions need the linear-interaction form"),
+            (lambda b: b["nodes"][0]["equation"].update(form="linear"), "ConfigError", "group-threshold form"),
+            (lambda b: b["nodes"][1]["equation"].update(form="decision"), "ConfigError", "decision form"),
+            (lambda b: b.update(groups=["a0", "a1", "a2"]), "ConfigError", "unknown scm key 'groups'"),
+            (lambda b: b.pop("nodes"), "ConfigError", "unknown scm key 'decision_node'"),
+            (lambda b: [b.clear(), b.update(constants=dict.fromkeys(ADMISSIONS_CONSTANT_NAMES, 1.0) | {"mu_A": "third"})],
+             "ConfigError", "wrong type"),
+        ],
+        ids=[
+            "unknown-form", "unknown-exogenous", "unknown-equation-key", "missing-equation",
+            "missing-group-node", "role-not-in-dag", "two-score-parents", "coeff-non-parent",
+            "string-threshold", "linear-interactions", "linear-group-node", "second-decision-form",
+            "groups-key", "roles-without-nodes", "string-constant",
+        ],
+    )
+    def test_bad_scm_block_is_structured(self, tmp_path, capsys, edit, error, expected):
+        block = declarative_block()
+        edit(block)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scm": block, "simulation": {"n": 2000}}))
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "simulate"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error and expected in err["message"]
 
     def test_default_is_admissions(self):
         model = cli.build_scm({"constants": {}})

@@ -409,7 +409,7 @@ class TestDiscretize:
         scm = admissions_scm()
         pi = PathSet(paths=(("A", "E", "T", "D"),))
         sample = draw_worlds(scm, pi, targets=[0, 1], n=20000, seed=9)
-        d = discretize(scm, sample, pi, Binning(width=1.0, lo=0.0, hi=100.0))
+        d = discretize(scm, sample, Binning(width=1.0, lo=0.0, hi=100.0))
         assert d.mass.sum() == pytest.approx(1.0, abs=1e-12)
         for aprime in (0, 1):
             np.testing.assert_allclose(d.cf_mass[aprime].sum(axis=1), d.mass, atol=1e-12)
@@ -422,7 +422,7 @@ class TestDiscretize:
         scm = admissions_scm()
         pi = PathSet(paths=(("A", "E", "T", "D"),))
         sample = draw_worlds(scm, pi, targets=[1], n=5000, seed=17)
-        d = discretize(scm, sample, pi, Binning())
+        d = discretize(scm, sample, Binning())
         mat = d.cf_mass[1]
         in_group = d.group == 1
         off_diag = mat[in_group] - np.diag(np.diag(mat))[in_group]
@@ -458,7 +458,7 @@ class TestCsvRoundTrip:
         scm = admissions_scm()
         pi = PathSet(paths=(("A", "E", "T", "D"),))
         sample = draw_worlds(scm, pi, targets=[0, 1], n=2000, seed=4)
-        d = discretize(scm, sample, pi, Binning())
+        d = discretize(scm, sample, Binning())
         mass_path = tmp_path / "mass.csv"
         cf_path = tmp_path / "cf.csv"
         write_tables(d, mass_path, cf_path)

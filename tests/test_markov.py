@@ -190,7 +190,7 @@ class TestAdmissionsChain:
         scm = admissions_scm()
         pi = PathSet(paths=(("A", "E", "T", "D"),))
         sample = draw_worlds(scm, pi, targets=[0, 1], n=50000, seed=1)
-        d = discretize(scm, sample, pi, Binning())
+        d = discretize(scm, sample, Binning())
         res = solve_fair(d, FairnessSpec(kind="PSF"), lam=0.25, b=0.5)
         mats = [transition_matrix(d, a) for a in sorted(d.cf_mass)]
         an = analyze(mats)
@@ -212,7 +212,7 @@ class TestAdmissionsChain:
         scm = admissions_scm()
         pi = PathSet(paths=(("A", "E", "T", "D"),))
         sample = draw_worlds(scm, pi, targets=[0, 1], n=50000, seed=1)
-        d = discretize(scm, sample, pi, Binning())
+        d = discretize(scm, sample, Binning())
         res = solve_fair(d, FairnessSpec(kind="PSF"), lam=0.25, b=0.5)
         for a in sorted(d.cf_mass):
             P = transition_matrix(d, a)

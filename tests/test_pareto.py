@@ -34,7 +34,7 @@ def admissions_dist(n=20000, seed=1):
     scm = admissions_scm()
     pi = PathSet(paths=(("A", "E", "T", "D"),))
     sample = draw_worlds(scm, pi, targets=[0, 1], n=n, seed=seed)
-    return discretize(scm, sample, pi, Binning())
+    return discretize(scm, sample, Binning())
 
 
 # The per-share sweep and the point loop that ``frontier`` and
@@ -241,16 +241,24 @@ class TestReferenceSweep:
         assert points == want
         assert repr(points) == repr(want)
 
+        # The reference counts any positive gain; the package drops a point
+        # whose smaller gain is rounding noise, at most _SUM_TOL = 1e-12.
         policy = Policy(d=d)
         gap = dominance_gap(policy, dist, b, resolution)
-        assert gap == _reference_dominance_gap(policy, dist, b, resolution)
-        assert repr(gap) == repr(_reference_dominance_gap(policy, dist, b, resolution))
-        # Nothing in the sweep beats its best graduation or its s = 1 diversity.
+        ref = _reference_dominance_gap(policy, dist, b, resolution)
+        want = ref if ref and min(ref) > 1e-12 else None
+        assert gap == want
+        assert repr(gap) == repr(want)
+        # Nothing in the sweep beats a point on the frontier, such as its best
+        # graduation or its s = 1 diversity.
         peak = points[int(np.argmax([pt.graduation for pt in points]))]
-        for pt in (peak, points[-1]):
+        assert peak.on_frontier and points[-1].on_frontier
+        for pt in points:
             policy = induced_policy(dist, util, threshold_policy(dist, util, pt.quantiles))
-            assert dominance_gap(policy, dist, b, resolution) is None
-            assert _reference_dominance_gap(policy, dist, b, resolution) is None
+            if pt.on_frontier:
+                assert dominance_gap(policy, dist, b, resolution) is None
+            if pt in (peak, points[-1]):
+                assert _reference_dominance_gap(policy, dist, b, resolution) is None
 
 
 class TestPolicy:

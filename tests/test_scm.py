@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,11 @@ from causalfair import scm as scm_mod
 from causalfair.errors import CycleError, MissingConstantError, UnknownNodeError
 from causalfair.scm import (
     CausalDag,
+    Equation,
     PathSet,
+    Scm,
     admissions_scm,
     all_paths,
-    counterfactual_covariates,
     draw_worlds,
     evaluate_worlds,
     potential_outcomes,
@@ -16,6 +19,88 @@ from causalfair.scm import (
 )
 
 SINGLE_PATH = PathSet(paths=(("A", "E", "T", "D"),))
+
+
+# The per-form equation evaluation and the separate factual and barred
+# passes that ``Equation.evaluate`` and ``scm._propagate`` replaced, kept as
+# their oracle: the single pass and the single linear predictor must
+# reproduce every node's array and both potential outcomes exactly.
+
+
+def _reference_evaluate(eq, parent_values, u, delta=None):
+    if eq.form == "group-threshold":
+        return (u <= eq.threshold).astype(np.int64)
+    if eq.form == "logistic-threshold":
+        z = np.full_like(u, eq.intercept, dtype=np.float64)
+        for p, c in eq.coeffs.items():
+            z += c * np.asarray(parent_values[p], dtype=np.float64)
+        if delta is not None:
+            z += eq.decision_coeff * delta
+        prob = 1.0 / (1.0 + np.exp(-z))
+        return (u <= prob).astype(np.int64)
+    out = np.full_like(u, eq.intercept, dtype=np.float64)
+    for p, c in eq.coeffs.items():
+        out += c * np.asarray(parent_values[p], dtype=np.float64)
+    if eq.form == "linear-interaction":
+        for p1, p2, c in eq.interactions:
+            out += c * np.asarray(parent_values[p1], dtype=np.float64) * np.asarray(
+                parent_values[p2], dtype=np.float64
+            )
+    return out + eq.noise_scale * u
+
+
+def _reference_factual_pass(scm, exo):
+    values = {}
+    for node in scm.sampled_nodes:
+        parent_vals = {p: values[p] for p in scm.dag.parents.get(node, ())}
+        values[node] = _reference_evaluate(scm.equations[node], parent_vals, exo[node])
+    return values
+
+
+def _reference_barred_pass(scm, exo, factual, on_path, target, n):
+    barred = {}
+    for node in scm.sampled_nodes:
+        if node == scm.group_node:
+            barred[node] = np.full(n, target, dtype=np.int64)
+            continue
+        dagger = {}
+        for parent in scm.dag.parents.get(node, ()):
+            if (parent, node) in on_path:
+                dagger[parent] = barred[parent]
+            else:
+                dagger[parent] = factual[parent]
+        barred[node] = _reference_evaluate(scm.equations[node], dagger, exo[node])
+    return barred
+
+
+def declarative_scm():
+    """The model of ``tests/test_cli.py::TestCustomScm``: A -> S -> D, A -> D."""
+    return Scm(
+        dag=CausalDag(
+            nodes=("A", "S", "D", "Y"),
+            parents={"A": (), "S": ("A",), "D": ("A", "S"), "Y": ("S", "D")},
+        ),
+        equations={
+            "A": Equation(form="group-threshold", threshold=0.5),
+            "S": Equation(form="linear", intercept=10.0, coeffs={"A": 2.0}, noise_scale=3.0),
+            "D": Equation(form="decision"),
+            "Y": Equation(form="logistic-threshold", coeffs={"S": 0.1}, decision_coeff=1.0),
+        },
+        exogenous={"A": "uniform-0-1", "S": "standard-normal", "D": "uniform-0-1", "Y": "uniform-0-1"},
+        group_node="A",
+        decision_node="D",
+        decision_parents=("A", "S"),
+        outcome_node="Y",
+    )
+
+
+def path_subsets(scm):
+    paths = all_paths(scm).paths
+    return [
+        PathSet(paths=subset)
+        for k in range(len(paths) + 1)
+        for subset in itertools.combinations(paths, k)
+    ]
 
 
 def zero_noise(scm, n=1, a_value=0.9):
@@ -77,6 +162,7 @@ class TestDrawWorlds:
         assert sample.factual["M"][0] == pytest.approx(1.0)
         assert sample.factual["T"][0] == pytest.approx(50 + 4 * 1 + 4 * 1 + 1 * 1 * 1)
         barred = sample.counterfactual[1]
+        assert barred["A"][0] == 1
         assert barred["E"][0] == pytest.approx(0.0)
         assert barred["M"][0] == pytest.approx(1.0)  # edge E->M off the path
         assert barred["T"][0] == pytest.approx(50 + 4 * 0 + 4 * 1 + 1 * 0 * 1)
@@ -134,12 +220,28 @@ class TestDrawWorlds:
             50 + 4 * e["E"] + 4 * e["M"] + e["E"] * e["M"] + 7 * sample.exogenous["T"],
         )
 
-    def test_counterfactual_covariates_carry_target_group(self):
-        scm = admissions_scm()
-        sample = draw_worlds(scm, SINGLE_PATH, targets=[1], n=300, seed=2)
-        inputs = counterfactual_covariates(scm, sample, SINGLE_PATH, target=1)
-        assert (inputs["A"] == 1).all()
-        np.testing.assert_array_equal(inputs["T"], sample.counterfactual[1]["T"])
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    @pytest.mark.parametrize("model", [admissions_scm, declarative_scm])
+    def test_single_pass_matches_reference_passes(self, model, seed):
+        scm = model()
+        subsets = path_subsets(scm)
+        assert len(subsets) == (8 if model is admissions_scm else 4)
+        for pi in subsets:
+            sample = draw_worlds(scm, pi, targets=[0, 1], n=2000, seed=seed)
+            factual = _reference_factual_pass(scm, sample.exogenous)
+            on_path = pi.edge_set(scm.dag)
+            for node in scm.sampled_nodes:
+                assert np.array_equal(sample.factual[node], factual[node])
+                assert sample.factual[node].dtype == factual[node].dtype
+            eq, u = scm.equations[scm.outcome_node], sample.exogenous[scm.outcome_node]
+            parents = {p: factual[p] for p in scm.dag.parents[scm.outcome_node] if p != scm.decision_node}
+            for got, delta in zip(potential_outcomes(scm, sample), (0.0, 1.0)):
+                assert np.array_equal(got, _reference_evaluate(eq, parents, u, delta))
+            for target in (0, 1):
+                barred = _reference_barred_pass(scm, sample.exogenous, factual, on_path, target, sample.n)
+                for node in scm.sampled_nodes:
+                    assert np.array_equal(sample.counterfactual[target][node], barred[node])
+                    assert sample.counterfactual[target][node].dtype == barred[node].dtype
 
     @pytest.mark.parametrize("target", [-1, 2])
     def test_target_outside_group_range(self, target):
