@@ -22,7 +22,7 @@ from . import dist as dist_mod
 from . import markov as markov_mod
 from . import scm as scm_mod
 from .betafair import prop4_check
-from .errors import CausalFairError, ConfigError
+from .errors import CausalFairError, ConfigError, UnknownNodeError
 from .fairness import KINDS, FairnessSpec, residual_report, solve_fair
 from .pareto import Policy, dominance_gap, evaluate_policy, frontier
 
@@ -155,10 +155,28 @@ def _number(value):
 
 
 def path_set(scm, scm_block):
-    paths = scm_block.get("paths")
-    if paths == "all" or paths is None:
+    """The configured paths: "all", or a list of node-name lists, each running
+    from the group node to the decision node along DAG edges. Any other value
+    raises ``ConfigError``; a name or a step off the DAG, ``UnknownNodeError``."""
+    paths = scm_block["paths"]
+    if paths == "all":
         return scm_mod.all_paths(scm)
-    return scm_mod.PathSet(paths=tuple(tuple(p) for p in paths))
+    if not isinstance(paths, list) or not all(
+        isinstance(p, list) and all(isinstance(v, str) for v in p) for p in paths
+    ):
+        raise ConfigError('scm.paths must be "all" or a list of lists of node names')
+    for path in paths:
+        unknown = [v for v in path if v not in scm.dag.nodes]
+        if unknown:
+            raise UnknownNodeError(f"path node {unknown[0]!r} is not in the DAG")
+        if path[:1] != [scm.group_node] or path[-1:] != [scm.decision_node]:
+            raise ConfigError(
+                f"path {path} must run from group node {scm.group_node!r}"
+                f" to decision node {scm.decision_node!r}"
+            )
+    pi = scm_mod.PathSet(paths=tuple(tuple(p) for p in paths))
+    pi.edge_set(scm.dag)  # a step that is not an edge raises UnknownNodeError
+    return pi
 
 
 def simulate(config):

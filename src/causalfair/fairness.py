@@ -10,6 +10,12 @@ A family emits one row per independent condition. The group rows of an
 independence stratum (CEO, EO, CPF) sum to zero, and so do a group's outcome
 rows under CPP, so the last of each such set is implied by the others and
 left out; the feasible set is the one the full set of rows defines.
+
+CF and PSF are solved from the structure of the counterfactual swap chain
+when it is known (see ``psf_rows``): a fair policy is constant on each
+recurrent class and the absorption-weighted mix of those values on transient
+states, so the LP runs over one variable per class instead of one per
+support point, and its policy is checked against the original rows.
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import _SUM_TOL, FiniteJointDistribution, utility_table
-from .errors import EmptyInputError
-from .linprog import LinearProgram, solve
+from . import markov
+from .dist import _SUM_TOL, FiniteJointDistribution, transition_matrix, utility_table
+from .errors import EmptyInputError, SolverError
+from .linprog import CHECK_TOL, LinearProgram, solve
 from .pareto import Policy
 
 __all__ = [
@@ -165,23 +172,26 @@ def psf_rows(dist: FiniteJointDistribution, omega="identity", name="PSF") -> Con
     with two groups), that is P d = d for the averaged chain P of
     ``markov.analyze``, whose solutions are the K-dimensional span of its
     absorption vectors: the rows have rank n - K for K recurrent classes.
-    The simplex drops the K repeats after phase 1.
+    ``solve_fair`` uses that span as its variables (``_fair_basis``); the
+    rows themselves only check the result, and the full-row LP is kept for
+    the inputs where the span is not known.
     """
     if not dist.cf_mass:
         raise EmptyInputError(f"{name} rows need counterfactual masses; the distribution has none")
-    w = _omega_labels(dist, omega)
-    rows, skipped = [], 0
-    for aprime in sorted(dist.cf_mass):
-        cf = dist.cf_mass[aprime]
-        for lbl in range(int(w.max()) + 1):
-            sel = w == lbl
-            row = np.where(sel, dist.mass, 0.0) - cf[sel].sum(axis=0)
-            if np.max(np.abs(row)) <= _SUM_TOL:
-                skipped += 1
-            else:
-                rows.append(row)
-    a = np.array(rows).reshape(-1, dist.n)
-    return ConstraintRows(name, a, np.zeros(len(a)), skipped)
+    if omega == "identity":  # one stratum per point
+        a = _swap_rows(dist).reshape(-1, dist.n)
+    elif omega == "constant":  # one stratum of every point
+        a = np.vstack([dist.mass - dist.cf_mass[ap].sum(axis=0) for ap in sorted(dist.cf_mass)])
+    else:
+        raise ValueError(f"unknown omega {omega!r}")
+    noise = np.abs(a).max(axis=1) <= _SUM_TOL
+    return ConstraintRows(name, a[~noise], np.zeros(int((~noise).sum())), int(noise.sum()))
+
+
+def _swap_rows(dist: FiniteJointDistribution) -> np.ndarray:
+    """The row mass_i e_i - cf_mass[a'][i, :] of every point i, for each a'
+    in order: (number of swaps, n, n)."""
+    return np.stack([np.diag(dist.mass) - dist.cf_mass[a] for a in sorted(dist.cf_mass)])
 
 
 def cpp_rows(dist: FiniteJointDistribution, C) -> ConstraintRows:
@@ -237,16 +247,40 @@ def _max_residual(rows: ConstraintRows, d: np.ndarray) -> float:
     return float(np.abs(rows.a @ d - rows.rhs).max(initial=0.0))
 
 
+def _fair_basis(dist: FiniteJointDistribution, spec: FairnessSpec):
+    """Absorption columns (n, K) of the swap chain, which span every policy
+    that satisfies the CF/PSF rows, or None where that is not known.
+
+    It is known under omega "identity" when each point is moved by at most
+    one swap, its row mass_i e_i - cf_mass[a'][i, :] for every other a'
+    being at most ``_SUM_TOL``: two groups whose own-group swap is the
+    identity (see ``psf_rows``). ``utility_table`` has already required
+    every point to carry positive mass, as the transition matrices need.
+    """
+    if spec.kind not in ("CF", "PSF") or spec.omega != "identity":
+        return None
+    moved = (np.abs(_swap_rows(dist)).max(axis=2) > _SUM_TOL).sum(axis=0)
+    if np.any(moved > 1):
+        return None
+    return markov.analyze([transition_matrix(dist, a) for a in sorted(dist.cf_mass)]).absorption
+
+
 def solve_fair(
     dist: FiniteJointDistribution, spec: FairnessSpec, lam: float, b: float
 ) -> FairPolicyResult:
     """Maximize expected utility subject to the budget and a fairness kind.
 
-    All kinds except CPP are a single LP. CPP sweeps a lattice over the
+    All kinds except CPP are a single LP. CF and PSF, where ``_fair_basis``
+    gives the absorption columns A, solve it over z in [0, 1]^K with
+    d = A z: maximize (c A) z subject to (mass A) z <= b. Elsewhere the LP
+    is over d with every constraint row. CPP sweeps a lattice over the
     admissible rejected-outcome profiles, solves one LP per lattice point,
     and keeps the feasible solution with the largest objective; ties go to
     the lexicographically smallest lattice point (the sweep visits points in
     that order and only strict improvements replace the incumbent).
+
+    The policy is checked against the original rows and the budget; a
+    violation above ``linprog.CHECK_TOL`` raises ``SolverError``.
     """
     c = utility_table(dist, lam).u * dist.mass
     p_row, b_val = budget_row(dist, b)
@@ -256,24 +290,32 @@ def solve_fair(
         candidates = ((C, [cpp_rows(dist, C)]) for C in grid)
     else:
         candidates = [(None, constraint_sets(dist, spec))]
+    basis = _fair_basis(dist, spec)
 
     best = None
     for C, sets in candidates:
-        a_eq = np.vstack([s.a for s in sets]) if sets else None
-        b_eq = np.concatenate([s.rhs for s in sets]) if sets else None
-        sol = solve(LinearProgram(objective=c, eq_rows=(a_eq, b_eq), ub_rows=ub_rows))
+        if basis is None:
+            a_eq = np.vstack([s.a for s in sets]) if sets else None
+            b_eq = np.concatenate([s.rhs for s in sets]) if sets else None
+            lp = LinearProgram(objective=c, eq_rows=(a_eq, b_eq), ub_rows=ub_rows)
+        else:
+            lp = LinearProgram(objective=c @ basis, ub_rows=(p_row @ basis, [b_val]))
+        sol = solve(lp)
         if sol.status == "Optimal" and (best is None or sol.objective > best[2].objective):
             best = (C, sets, sol)
     if best is None:
         return FairPolicyResult(None, float("nan"), "NoFeasiblePolicy", residuals={})
 
     C, sets, sol = best
-    d = sol.values
+    d = sol.values if basis is None else basis @ sol.values
     residuals = {s.name: _max_residual(s, d) for s in sets}
     residuals["budget"] = max(0.0, float(p_row @ d - b_val))
+    violation = max(residuals.values())
+    if not violation <= CHECK_TOL:
+        raise SolverError(f"fair policy violates its constraints by {violation:.3g}")
     return FairPolicyResult(
         policy=Policy(d=d),
-        objective=sol.objective,
+        objective=float(c @ d),
         status="Optimal",
         residuals=residuals,
         grid_point=None if C is None else tuple(C),

@@ -157,6 +157,40 @@ class TestCustomScm:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == error and expected in err["message"]
 
+    @pytest.mark.parametrize(
+        "paths, error, expected",
+        [
+            (5, "ConfigError", "scm.paths must be"),
+            (None, "ConfigError", "scm.paths must be"),
+            ("AD", "ConfigError", "scm.paths must be"),
+            (["A", "E", "T", "D"], "ConfigError", "scm.paths must be"),
+            ([["A", 5, "D"]], "ConfigError", "scm.paths must be"),
+            ([[]], "ConfigError", "must run from group node 'A'"),
+            ([["E", "T"]], "ConfigError", "must run from group node 'A'"),
+            ([["A", "E", "T"]], "ConfigError", "to decision node 'D'"),
+            ([["A", "Z", "D"]], "UnknownNodeError", "path node 'Z'"),
+            ([["A", "E", "T", "D"], ["A", "T", "D"]], "UnknownNodeError", "('A', 'T') is not a DAG edge"),
+        ],
+        ids=[
+            "number", "null", "string", "flat-list", "non-string-node", "empty-path",
+            "not-from-group", "not-to-decision", "unknown-node", "non-edge",
+        ],
+    )
+    def test_bad_paths_are_structured(self, tmp_path, capsys, paths, error, expected):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scm": {"paths": paths}, "simulation": {"n": 2000}}))
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "simulate"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error and expected in err["message"]
+        assert not (tmp_path / "o" / "mass.csv").exists()
+
+    @pytest.mark.parametrize("paths", ["all", [["A", "D"], ["A", "E", "T", "D"]], []])
+    def test_good_paths_run(self, tmp_path, paths):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scm": {"paths": paths}, "simulation": {"n": 2000}}))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "simulate"]) == 0
+
     def test_default_is_admissions(self):
         model = cli.build_scm({"constants": {}})
         assert model.dag.nodes == ("A", "E", "M", "T", "D", "Y")

@@ -1,16 +1,18 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from causalfair import cli
-from causalfair.dist import from_table, load_tables, utility_table, write_tables
-from causalfair.errors import EmptyInputError
+from causalfair import cli, fairness, linprog, markov
+from causalfair.dist import from_table, load_tables, transition_matrix, utility_table, write_tables
+from causalfair.errors import EmptyInputError, SolverError
 from causalfair.fairness import (
     FairnessSpec,
     _cpp_grid,
+    _fair_basis,
     budget_row,
     ceo_rows,
     cpf_rows,
@@ -430,3 +432,152 @@ class TestResidualReport:
         for entry in report:
             assert entry["max_residual"] <= 1e-12
 
+
+def _reference_psf_solve(dist, lam, b):
+    """The full-row LP: maximize utility over d subject to every PSF row and
+    the budget, as ``solve_fair`` did for CF/PSF before the chain solve."""
+    rows = psf_rows(dist)
+    p_row, b_val = budget_row(dist, b)
+    c = utility_table(dist, lam).u * dist.mass
+    return linprog.solve(
+        linprog.LinearProgram(objective=c, eq_rows=(rows.a, rows.rhs), ub_rows=(p_row[None], [b_val]))
+    )
+
+
+@st.composite
+def chain_distributions(draw):
+    """Two groups whose own-group swap is the identity. A recurrent point's
+    foreign swap stays inside its block, so each of the 1-4 blocks is a
+    recurrent class; each of the 1-3 transient points splits its swap over
+    points of one or more blocks and maybe other transient points. With two
+    or more blocks, the first may carry a mass of about 1e-5 in all."""
+    n_blocks = draw(st.integers(1, 4))
+    points = [(g, k) for k in range(n_blocks) for g in (0, 1) for _ in range(draw(st.integers(1, 2)))]
+    points += [(draw(st.integers(0, 1)), -1) for _ in range(draw(st.integers(1, 3)))]
+    points.sort(key=lambda p: p[0])  # support order: group, then bin
+    group, block = np.array(points).T
+    n = len(points)
+    mass = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    if n_blocks > 1 and draw(st.booleans()):
+        tiny = block == 0
+        mass[tiny] *= 1e-5 * mass[~tiny].sum() / mass[tiny].sum()
+    r = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    rows = [
+        (g, i, 0, y1, m * (p if y1 else 1 - p))
+        for i, (g, m, p) in enumerate(zip(group, mass, r))
+        for y1 in (0, 1)
+    ]
+    dist = from_table(rows)
+    assert np.array_equal(dist.group, group)
+    cf = {a: np.diag(dist.mass) for a in (0, 1)}
+    for i in range(n):
+        other = group != group[i]
+        if block[i] >= 0:
+            w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+            w[~other | (block != block[i])] = 0.0
+        else:
+            w = np.array(draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0]), min_size=n, max_size=n)))
+            w[~other] = 0.0
+            w[draw(st.sampled_from(np.flatnonzero(other & (block >= 0)).tolist()))] += 0.1
+        cf[1 - group[i]][i] = dist.mass[i] * w / w.sum()
+    dist.cf_mass = cf
+    dist.validate()
+    return dist
+
+
+class TestChainSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(chain_distributions(), st.floats(0.05, 1.0), st.floats(0.05, 0.95))
+    def test_matches_full_row_lp(self, dist, lam, b):
+        spec = FairnessSpec(kind="PSF")
+        assert _fair_basis(dist, spec) is not None
+        res = solve_fair(dist, spec, lam=lam, b=b)
+        ref = _reference_psf_solve(dist, lam, b)
+        assert res.status == ref.status == "Optimal"
+        assert abs(res.objective - ref.objective) <= 1e-9
+        d = res.policy.d
+        assert np.abs(psf_rows(dist).a @ d).max() <= linprog.CHECK_TOL
+        assert dist.mass @ d <= b + linprog.CHECK_TOL
+        analysis = markov.analyze([transition_matrix(dist, a) for a in (0, 1)])
+        assert analysis.transient
+        if len(analysis.classes) == 1:
+            assert np.abs(d - b).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [10, 11])
+    def test_two_moving_swaps_take_the_full_row_lp(self, monkeypatch, seed):
+        # random_dist moves every point under both swaps, so P d = d for the
+        # averaged chain no longer implies each P_a' d = d.
+        dist = random_dist(np.random.default_rng(seed))
+        widths = _lp_widths(monkeypatch)
+        res = solve_fair(dist, FairnessSpec(kind="PSF"), lam=0.25, b=0.5)
+        assert widths == [dist.n]
+        assert res.objective == pytest.approx(PARENT_OBJECTIVES[("random", seed)], abs=1e-12)
+        assert res.objective == pytest.approx(_reference_psf_solve(dist, 0.25, 0.5).objective, abs=1e-15)
+
+    @pytest.mark.parametrize("which", ["pi", "all"])
+    def test_constant_omega_takes_the_full_row_lp(self, monkeypatch, which):
+        config = cli.load_config(None, {("simulation", "n"): 20000})
+        dist = dict(zip(("pi", "all"), cli.simulate(config)))[which]
+        widths = _lp_widths(monkeypatch)
+        res = solve_fair(dist, FairnessSpec(kind="PSF", omega="constant"), lam=0.25, b=0.5)
+        assert widths == [dist.n]
+        assert res.objective == pytest.approx(PARENT_OBJECTIVES[("constant", which)], abs=1e-12)
+        # The same distribution under omega "identity" takes the chain solve.
+        solve_fair(dist, FairnessSpec(kind="PSF"), lam=0.25, b=0.5)
+        assert widths[1] < 5
+
+    def test_perturbed_absorption_raises(self, monkeypatch):
+        config = cli.load_config(None, {("simulation", "n"): 20000})
+        dist, _ = cli.simulate(config)
+        perturb_absorption(monkeypatch, dist.mass)
+        with pytest.raises(SolverError, match="violates its constraints"):
+            solve_fair(dist, FairnessSpec(kind="PSF"), lam=0.25, b=0.5)
+
+    def test_perturbed_absorption_fails_optimize(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"simulation": {"n": 4000}, "policy": {"kind": "PSF"}}))
+        assert cli.main(["--config", str(config), "--out", str(tmp_path / "sim"), "simulate"]) == 0
+        mass, cf = (str(tmp_path / "sim" / name) for name in ("mass.csv", "cf.csv"))
+        perturb_absorption(monkeypatch, load_tables(mass, cf).mass)
+        capsys.readouterr()
+        args = ["--config", str(config), "--out", str(tmp_path / "opt"), "optimize", "--mass", mass, "--cf", cf]
+        assert cli.main(args) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SolverError" and "violates its constraints" in err["message"]
+
+
+# Objectives of the full-row LP before the chain solve, at lam 0.25 and b 0.5:
+# random_dist seeds 10 and 11, and omega "constant" on both distributions of
+# cli.simulate at n = 20000 and the default seed.
+PARENT_OBJECTIVES = {
+    ("random", 10): 0.3828504068486918,
+    ("random", 11): 0.4223645438592575,
+    ("constant", "pi"): 0.42516806890355885,
+    ("constant", "all"): 0.42925991270810715,
+}
+
+
+def _lp_widths(monkeypatch):
+    """Record the number of variables of every LP ``solve_fair`` solves."""
+    widths = []
+    real = fairness.solve
+
+    def spy(lp, *args, **kwargs):
+        widths.append(len(lp.objective))
+        return real(lp, *args, **kwargs)
+
+    monkeypatch.setattr(fairness, "solve", spy)
+    return widths
+
+
+def perturb_absorption(monkeypatch, mass):
+    """Make ``markov.analyze`` return absorption odds off by 1e-6 at the
+    heaviest point."""
+    real = markov.analyze
+
+    def perturbed(*args, **kwargs):
+        analysis = real(*args, **kwargs)
+        analysis.absorption[np.argmax(mass)] += 1e-6
+        return analysis
+
+    monkeypatch.setattr(markov, "analyze", perturbed)

@@ -5,6 +5,10 @@ bounded-variable solver replaced, at bin widths 1.0 (n = 172) and 0.5
 (n = 339). Every objective must stay within 1e-9 of them and CPP must pick
 the same lattice point. Optimal policies are not pinned: CEO and EO have
 alternative optima, so the vertex a solver lands on may differ.
+
+CF and PSF are also pinned at bin width 0.25 (n = 653), from the
+bounded-variable solver's LP over every PSF row, which the solve on the swap
+chain's recurrent classes replaced.
 """
 
 import pytest
@@ -58,3 +62,20 @@ def test_objective_matches_dense_tableau(results, kind):
 def test_cpp_grid_point(results):
     _, solved = results
     assert solved["CPP"].grid_point == pytest.approx(CPP_GRID_POINT, abs=1e-12)
+
+
+PINNED_FINE = {"CF": 0.3502674999999987, "PSF": 0.3502674999999998}
+
+
+@pytest.fixture(scope="module")
+def fine_dists():
+    config = cli.load_config(None, {("simulation", "bin_width"): 0.25})
+    return config["policy"], dict(zip(("PSF", "CF"), cli.simulate(config)))
+
+
+@pytest.mark.parametrize("kind", PINNED_FINE)
+def test_fine_bins_objective_matches_full_row_lp(fine_dists, kind):
+    pol, dists = fine_dists
+    solved = solve_fair(dists[kind], cli._spec_for(kind, pol), lam=pol["lam"], b=pol["b"])
+    assert solved.status == "Optimal"
+    assert solved.objective == pytest.approx(PINNED_FINE[kind], abs=1e-9)
