@@ -23,7 +23,7 @@ from . import markov as markov_mod
 from . import scm as scm_mod
 from .betafair import prop4_check
 from .errors import CausalFairError, ConfigError, UnknownNodeError
-from .fairness import KINDS, FairnessSpec, residual_report, solve_fair
+from .fairness import KINDS, FairnessSpec, lattice_divisions, residual_report, solve_fair
 from .pareto import Policy, dominance_gap, evaluate_policy, frontier
 
 __all__ = ["main", "load_config", "run"]
@@ -93,8 +93,8 @@ def _validate(config):
         raise ConfigError(f"policy.kind must be one of {KINDS}")
     if pol["omega"] not in ("constant", "identity"):
         raise ConfigError("policy.omega must be 'constant' or 'identity'")
-    if not 0 < pol["grid_step"] <= 1:
-        raise ConfigError("policy.grid_step must lie in (0, 1]")
+    if lattice_divisions(pol["grid_step"]) is None:
+        raise ConfigError("policy.grid_step must lie in (0, 1] and 1/grid_step must be an integer")
     if not _is_int(pol["frontier_resolution"], 2):
         raise ConfigError("policy.frontier_resolution must be an integer of at least 2")
     if config["output"]["population"] <= 0:
@@ -252,10 +252,13 @@ def _spec_for(kind, pol):
     return FairnessSpec(kind=kind, omega=omega, grid_step=pol["grid_step"])
 
 
-def _markov_report(dist, policy, tol=1e-9):
-    mats = [dist_mod.transition_matrix(dist, a) for a in sorted(dist.cf_mass)]
-    analysis = markov_mod.analyze(mats, tol=tol)
-    report = markov_mod.check_pi_fair_structure(policy, analysis, tol=tol)
+def _markov_report(dist, policy, analysis=None):
+    """The summary's ``markov`` block; ``analysis`` is ``markov.analyze`` of
+    the swap chain of ``dist`` when the caller already has it."""
+    if analysis is None:
+        mats = [dist_mod.transition_matrix(dist, a) for a in sorted(dist.cf_mass)]
+        analysis = markov_mod.analyze(mats)
+    report = markov_mod.check_pi_fair_structure(policy, analysis)
     return {
         "num_classes": report["num_classes"],
         "class_sizes": report["class_sizes"],
@@ -276,6 +279,8 @@ def run(config, out_dir):
     for kind in KINDS:
         target = d_all if kind == "CF" else d_pi
         result = solve_fair(target, _spec_for(kind, pol), lam=lam, b=b)
+        if kind == "PSF":
+            psf_chain = result.chain  # d_pi's swap chain, when the solve analyzed it
         entry = {"status": result.status}
         if result.status == "Optimal":
             diversity, graduation = evaluate_policy(result.policy, target)
@@ -303,7 +308,7 @@ def run(config, out_dir):
     write_transitions_csv(os.path.join(out_dir, "transitions.csv"), d_pi)
 
     psf_policy = policies.get("PSF", policies["none"])
-    markov_summary = _markov_report(d_pi, psf_policy)
+    markov_summary = _markov_report(d_pi, psf_policy, analysis=psf_chain)
 
     _write_json(
         os.path.join(out_dir, "residuals.json"),

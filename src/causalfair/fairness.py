@@ -41,6 +41,7 @@ __all__ = [
     "psf_rows",
     "cpp_rows",
     "eo_rows",
+    "lattice_divisions",
     "solve_fair",
     "residual_report",
     "KINDS",
@@ -55,7 +56,9 @@ class FairnessSpec:
 
     ``omega`` reduces covariates to strata for CPF/PSF: "constant" pools
     everything and "identity" keeps each support point its own stratum.
-    ``grid_step`` controls the search lattice for CPP.
+    ``grid_step`` is the spacing of the search lattice for CPP; 1/grid_step
+    must be an integer (within 1e-9 relative), so the lattice reaches every
+    vertex of the simplex.
     """
 
     kind: str = "none"
@@ -65,8 +68,8 @@ class FairnessSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown fairness kind {self.kind!r}")
-        if self.kind == "CPP" and not 0 < self.grid_step <= 1:
-            raise ValueError("grid_step must lie in (0, 1]")
+        if self.kind == "CPP" and lattice_divisions(self.grid_step) is None:
+            raise ValueError("grid_step must lie in (0, 1] and 1/grid_step must be an integer")
         if self.omega is None:
             self.omega = "constant" if self.kind == "CPF" else "identity"
         if self.omega not in ("constant", "identity"):
@@ -80,6 +83,7 @@ class FairPolicyResult:
     status: str  # "Optimal" | "NoFeasiblePolicy"
     residuals: dict  # constraint-set name -> max abs violation
     grid_point: tuple | None = None
+    chain: markov.ChainAnalysis | None = None  # the swap chain a CF/PSF solve analyzed
 
 
 @dataclass
@@ -219,9 +223,18 @@ def cpp_rows(dist: FiniteJointDistribution, C) -> ConstraintRows:
     return ConstraintRows("CPP", np.array(rows).reshape(-1, dist.n), np.array(rhs))
 
 
+def lattice_divisions(step) -> int | None:
+    """The integer m = 1/step, for a lattice step in (0, 1] whose reciprocal
+    is an integer within 1e-9 relative; None for any other step."""
+    if not 0 < step <= 1:
+        return None
+    m = round(1.0 / step)
+    return m if abs(1.0 / step - m) <= 1e-9 * m else None
+
+
 def _cpp_grid(k: int, step: float):
     """Lattice points of the probability simplex over k outcomes."""
-    m = int(round(1.0 / step))
+    m = lattice_divisions(step)
     points = []
     for combo in itertools.combinations_with_replacement(range(k), m):
         counts = np.bincount(np.array(combo), minlength=k)
@@ -248,8 +261,8 @@ def _max_residual(rows: ConstraintRows, d: np.ndarray) -> float:
 
 
 def _fair_basis(dist: FiniteJointDistribution, spec: FairnessSpec):
-    """Absorption columns (n, K) of the swap chain, which span every policy
-    that satisfies the CF/PSF rows, or None where that is not known.
+    """The swap chain's analysis, whose absorption columns (n, K) span every
+    policy that satisfies the CF/PSF rows, or None where that is not known.
 
     It is known under omega "identity" when each point is moved by at most
     one swap, its row mass_i e_i - cf_mass[a'][i, :] for every other a'
@@ -262,7 +275,7 @@ def _fair_basis(dist: FiniteJointDistribution, spec: FairnessSpec):
     moved = (np.abs(_swap_rows(dist)).max(axis=2) > _SUM_TOL).sum(axis=0)
     if np.any(moved > 1):
         return None
-    return markov.analyze([transition_matrix(dist, a) for a in sorted(dist.cf_mass)]).absorption
+    return markov.analyze([transition_matrix(dist, a) for a in sorted(dist.cf_mass)])
 
 
 def solve_fair(
@@ -280,7 +293,9 @@ def solve_fair(
     that order and only strict improvements replace the incumbent).
 
     The policy is checked against the original rows and the budget; a
-    violation above ``linprog.CHECK_TOL`` raises ``SolverError``.
+    violation above ``linprog.CHECK_TOL`` raises ``SolverError``. The
+    result carries the chain analysis that ``_fair_basis`` made, if any, so
+    a caller need not analyze the same chain again.
     """
     c = utility_table(dist, lam).u * dist.mass
     p_row, b_val = budget_row(dist, b)
@@ -290,7 +305,8 @@ def solve_fair(
         candidates = ((C, [cpp_rows(dist, C)]) for C in grid)
     else:
         candidates = [(None, constraint_sets(dist, spec))]
-    basis = _fair_basis(dist, spec)
+    chain = _fair_basis(dist, spec)
+    basis = None if chain is None else chain.absorption
 
     best = None
     for C, sets in candidates:
@@ -304,7 +320,7 @@ def solve_fair(
         if sol.status == "Optimal" and (best is None or sol.objective > best[2].objective):
             best = (C, sets, sol)
     if best is None:
-        return FairPolicyResult(None, float("nan"), "NoFeasiblePolicy", residuals={})
+        return FairPolicyResult(None, float("nan"), "NoFeasiblePolicy", residuals={}, chain=chain)
 
     C, sets, sol = best
     d = sol.values if basis is None else basis @ sol.values
@@ -319,6 +335,7 @@ def solve_fair(
         status="Optimal",
         residuals=residuals,
         grid_point=None if C is None else tuple(C),
+        chain=chain,
     )
 
 

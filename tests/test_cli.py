@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 import causalfair
-from causalfair import cli, linprog
+from causalfair import cli, linprog, markov
 from causalfair.dist import from_table, load_tables
 from causalfair.errors import ConfigError
-from causalfair.fairness import KINDS
+from causalfair.fairness import KINDS, solve_fair
 from causalfair.scm import ADMISSIONS_CONSTANT_NAMES
+
+
+GRID_STEPS = ("0.6", "0.7", "0.3", "0.15", "0", "1.5")  # 1/step not an integer, or out of (0, 1]
 
 
 def tiny_config(tmp_path, **policy):
@@ -48,6 +51,10 @@ class TestConfig:
         p.write_text(json.dumps({"policy": {"b": 1.5}}))
         with pytest.raises(ConfigError):
             cli.load_config(p)
+
+    @pytest.mark.parametrize("step", [0.1, 0.05, 0.02, 0.25, 0.01, 1.0])
+    def test_grid_steps_that_divide_one_load(self, step):
+        assert cli.load_config(None, {("policy", "grid_step"): step})["policy"]["grid_step"] == step
 
     def test_seed_override(self, tmp_path):
         p = tiny_config(tmp_path)
@@ -205,6 +212,24 @@ class TestSubcommands:
             assert (out / name).exists()
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["definitions"]) == set(KINDS)
+
+    def test_run_analyzes_each_swap_chain_once(self, tmp_path, monkeypatch):
+        # CF's solve analyzes d_all's chain and PSF's d_pi's; the summary's
+        # markov block reuses PSF's analysis instead of making a third.
+        real = markov.analyze
+        calls = []
+        monkeypatch.setattr(markov, "analyze", lambda *a, **k: calls.append(a) or real(*a, **k))
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--out", str(out), "run"]) == 0
+        assert len(calls) == 2
+        monkeypatch.setattr(markov, "analyze", real)
+        config = cli.load_config(cfg)
+        d_pi, _ = cli.simulate(config)
+        pol = config["policy"]
+        psf = solve_fair(d_pi, cli._spec_for("PSF", pol), lam=pol["lam"], b=pol["b"])
+        fresh = json.loads(json.dumps(cli._markov_report(d_pi, psf.policy)))
+        assert json.loads((out / "summary.json").read_text())["markov"] == fresh
 
     def test_run_deterministic(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -373,11 +398,14 @@ class TestSubcommands:
             ('{"simulation": {"seed": -1}}', "simulation.seed must be an integer"),
             ('{"simulation": {"seed": 1.5}}', "simulation.seed must be an integer"),
             ('{"simulation": {"seed": %d}}' % 2**96, "simulation.seed must be an integer"),
+            # Rounding 1/step would run 0.6 on the 0.5 lattice and 0.7 on the 1.0 one.
+            *(('{"policy": {"grid_step": %s}}' % step, "policy.grid_step must") for step in GRID_STEPS),
         ],
         ids=[
             "missing", "malformed", "not-object", "zero-width", "empty-range", "string-budget",
             "string-resolution", "resolution-one", "fractional-resolution", "fractional-n",
             "string-seed", "negative-seed", "fractional-seed", "seed-2**96",
+            *(f"grid-step-{step}" for step in GRID_STEPS),
         ],
     )
     def test_bad_config_is_structured(self, tmp_path, capsys, body, expected):

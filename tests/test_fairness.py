@@ -352,6 +352,18 @@ class TestFairnessSpec:
         with pytest.raises(ValueError, match="omega"):
             cpf_rows(two_point_uniform(), "bogus")
 
+    @pytest.mark.parametrize("step", [0.6, 0.7, 0.3, 0.0, 1.5])
+    def test_cpp_grid_step_must_divide_one(self, step):
+        with pytest.raises(ValueError, match="grid_step"):
+            FairnessSpec(kind="CPP", grid_step=step)
+
+    @pytest.mark.parametrize("step", [0.1, 0.05, 0.02, 0.25, 0.01])
+    def test_cpp_lattice_reaches_every_vertex(self, step):
+        FairnessSpec(kind="CPP", grid_step=step)
+        grid = _cpp_grid(2, step)
+        assert len(grid) == round(1 / step) + 1
+        assert grid[0] == (0.0, 1.0) and grid[-1] == (1.0, 0.0)
+
 
 class TestSolveFair:
     def test_unconstrained_threshold_structure(self):

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog as scipy_linprog
 
+from causalfair import cli, fairness, linprog
 from causalfair.dist import from_table, utility_table
 from causalfair.fairness import KINDS, FairnessSpec, budget_row, constraint_sets, solve_fair
 from causalfair.errors import SolverError
-from causalfair.linprog import CHECK_TOL, LinearProgram, LpSolution, _run_simplex, solve
+from causalfair.linprog import _PIVOT_TOL, CHECK_TOL, LinearProgram, LpSolution, _run_simplex, solve
 
 
 def brute_force_box(lp, step=0.05):
@@ -280,3 +282,152 @@ class TestConstantPolicyProperty:
             res = solve_fair(dist, spec, lam=lam, b=b)
             assert res.status == "Optimal"
             assert value <= res.objective + 1e-9
+
+
+def _reference_run_simplex(T, x, lo, hi, c, basis, tol):
+    """The simplex loop with one bound flip per pass, which ``_run_simplex``
+    replaced by applying each run of flips in one array pass."""
+    m, ncols = T.shape
+    span = hi - lo
+    movable = span > 0
+    bland = False
+    degenerate_run = 0
+    bland_after = 5 * (m + ncols)
+    max_iter = 100 * (m + ncols) + 1000
+    direction = np.where(x >= hi, -1.0, 1.0)
+    red = None
+
+    for _ in range(max_iter):
+        if red is None:
+            red = np.where(movable, c - c[basis] @ T, 0.0)
+            red[basis] = 0.0
+        rate = red * direction
+        candidates = np.flatnonzero(rate > tol)
+        if len(candidates) == 0:
+            return
+        col = int(candidates[0] if bland else candidates[np.argmax(rate[candidates])])
+        alpha = T[:, col] * direction[col]
+        xb = x[basis]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.minimum(
+                np.where(alpha > _PIVOT_TOL, np.maximum(xb - lo[basis], 0.0) / alpha, np.inf),
+                np.where(alpha < -_PIVOT_TOL, np.maximum(hi[basis] - xb, 0.0) / -alpha, np.inf),
+            )
+        r_min = r.min(initial=np.inf)
+        step = min(r_min, span[col])
+        if np.isinf(step):
+            raise SolverError("simplex ratio test found no bound")
+        if step <= tol:
+            degenerate_run += 1
+            bland = bland or degenerate_run > bland_after
+        else:
+            degenerate_run = 0
+        x[basis] = xb - step * alpha
+        if span[col] <= r_min:
+            x[col] = hi[col] if direction[col] > 0 else lo[col]
+            direction[col] = -direction[col]
+            continue
+        x[col] += direction[col] * step
+        ties = np.flatnonzero(r <= r_min + 1e-15)
+        row = int(ties[np.argmin(basis[ties]) if bland else np.argmax(np.abs(alpha[ties]))])
+        leaving = basis[row]
+        x[leaving] = lo[leaving] if alpha[row] > 0 else hi[leaving]
+        direction[leaving] = 1.0 if alpha[row] > 0 else -1.0
+        linprog._pivot(T, basis, row, col)
+        red = None
+    raise SolverError("simplex iteration limit reached")
+
+
+def _outcome(lp, run_simplex):
+    """Status, values, objective and phase-1 residual of ``solve`` as bytes,
+    or its error, with ``run_simplex`` as the simplex loop; and the tableau,
+    the values of every variable (slacks too) and the basis after each run
+    of that loop."""
+    states = []
+
+    def traced(T, x, lo, hi, c, basis, tol):
+        try:
+            run_simplex(T, x, lo, hi, c, basis, tol)
+        finally:
+            states.append((T.tobytes(), x.tobytes(), basis.tobytes()))
+
+    with mock.patch.object(linprog, "_run_simplex", traced):
+        try:
+            sol = solve(lp)
+        except SolverError as exc:
+            return ("SolverError", str(exc)), states
+    result = (
+        sol.status,
+        sol.values.tobytes(),
+        np.float64(sol.objective).tobytes(),
+        np.float64(sol.phase1_residual).tobytes(),
+    )
+    return result, states
+
+
+def assert_same_as_reference(lp):
+    result, states = _outcome(lp, _run_simplex)
+    expected, expected_states = _outcome(lp, _reference_run_simplex)
+    assert result == expected
+    assert states == expected_states
+
+
+@st.composite
+def wide_box_lps(draw):
+    """Many columns over one to four rows, so most entering columns reach
+    their other bound before any row blocks them: long runs of bound flips.
+
+    Integer objectives tie many rates, so the order in which tied columns
+    enter matters. Some columns are fixed, some have a span below the
+    solver tolerance (a degenerate flip), some bounds are negative or wider
+    than one, and equality rows send the solve through phase 1.
+    """
+    n = draw(st.integers(1, 200))
+    m = draw(st.integers(1, 4))
+    m_eq = draw(st.integers(0, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.integers(-3, 6, n).astype(float) if draw(st.booleans()) else rng.uniform(-1, 2, n)
+    lo = np.where(rng.random(n) < 0.2, rng.integers(-2, 1, n), 0.0).astype(float)
+    width = rng.choice([0.0, 1e-10, 0.5, 1.0, 2.0], n, p=[0.1, 0.02, 0.3, 0.3, 0.28])
+    a = rng.uniform(0.0, 1.0, (m, n)) * (rng.random((m, n)) < draw(st.sampled_from([0.3, 1.0])))
+    if draw(st.booleans()):
+        a[:, rng.random(n) < 0.3] *= -1
+    # The right-hand side is the rows at a random point of the box, which
+    # keeps equalities feasible and leaves inequalities room to flip into.
+    point = lo + width * rng.random(n)
+    rhs = a @ point + np.concatenate([np.zeros(m_eq), rng.uniform(0, 0.5 * n, m - m_eq)])
+    if draw(st.integers(0, 4)) == 0:  # out of reach of the box: infeasible
+        rhs[:m_eq] += 3 * n
+    return LinearProgram(
+        objective=c,
+        eq_rows=(a[:m_eq], rhs[:m_eq]),
+        ub_rows=(a[m_eq:], rhs[m_eq:]),
+        bounds=np.column_stack([lo, lo + width]),
+    )
+
+
+class TestAgainstOneFlipPerPass:
+    """The solver applies each run of bound flips in one array pass; its
+    results must equal, bit for bit, those of the loop that made one flip
+    per pass."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_lps())
+    def test_small_lps(self, lp):
+        assert_same_as_reference(lp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_box_lps())
+    def test_wide_box_lps(self, lp):
+        assert_same_as_reference(lp)
+
+    def test_cpp_lattice(self, monkeypatch):
+        config = cli.load_config(None, {("simulation", "seed"): 1, ("simulation", "bin_width"): 1.0})
+        d_pi, _ = cli.simulate(config)
+        pol = config["policy"]
+        lps = []
+        monkeypatch.setattr(fairness, "solve", lambda lp: lps.append(lp) or solve(lp))
+        solve_fair(d_pi, cli._spec_for("CPP", pol), lam=pol["lam"], b=pol["b"])
+        assert len(lps) == 101
+        for lp in lps:
+            assert_same_as_reference(lp)
