@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from importlib import resources
 
 import numpy as np
 
@@ -58,6 +57,9 @@ def load_config(path=None, overrides=None):
         user = raw.get(block, {})
         if not isinstance(user, dict):
             raise ConfigError(f"config block {block!r} must be an object")
+        unknown = sorted(set(user) - set(defaults))
+        if unknown and block != "scm":  # build_scm checks the scm block's keys
+            raise ConfigError(f"unknown config key {unknown[0]!r} in block {block!r}")
         merged = dict(defaults)
         merged.update(user)
         config[block] = merged
@@ -67,16 +69,24 @@ def load_config(path=None, overrides=None):
     if overrides:
         for (block, key), value in overrides.items():
             config[block][key] = value
-    try:
-        _validate(config)
-    except TypeError as exc:  # a comparison with a value of the wrong type
-        raise ConfigError(f"config value of the wrong type: {exc}") from exc
+    _validate(config)
     return config
+
+
+_NUMBERS = {
+    "simulation": ("bin_width", "score_lo", "score_hi"),
+    "policy": ("b", "lam", "grid_step"),
+    "output": ("population",),
+}
 
 
 def _validate(config):
     pol = config["policy"]
     sim = config["simulation"]
+    for block, keys in _NUMBERS.items():
+        for key in keys:
+            if type(config[block][key]) not in (int, float):  # a bool is not a number
+                raise ConfigError(f"config value of the wrong type: {block}.{key} must be a number")
     if not 0 < pol["b"] < 1:
         raise ConfigError("policy.b must lie in (0, 1)")
     if pol["lam"] < 0:
@@ -320,20 +330,8 @@ def run(config, out_dir):
         "markov": markov_summary,
         "frontier_points": len(points),
     }
-    validate_summary(summary)
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
-
-
-def validate_summary(summary):
-    try:
-        import jsonschema
-    except ImportError:  # validation is best-effort at runtime
-        return
-    schema = json.loads(
-        resources.files("causalfair").joinpath("schemas/summary.schema.json").read_text()
-    )
-    jsonschema.validate(summary, schema)
 
 
 def _cmd_simulate(config, out_dir, args):

@@ -3,9 +3,9 @@ and path-specific counterfactual covariates.
 
 A support point is a (group, bin) pair. All probability tables are stored as
 joint masses so downstream constraint builders never divide by small
-conditionals: ``mass[i]`` is Pr(X = x_i), ``outcome_mass[i, j0, j1]`` is
-Pr(X = x_i, Y(0) = y_j0, Y(1) = y_j1), and ``cf_mass[a'][i, j]`` is
-Pr(X = x_i, X_cf(a') = x_j).
+conditionals: ``mass[i]`` is Pr(X = x_i), ``outcome_mass[i, y0, y1]`` is
+Pr(X = x_i, Y(0) = y0, Y(1) = y1), and ``cf_mass[a'][i, j]`` is
+Pr(X = x_i, X_cf(a') = x_j). Outcomes are binary: every outcome value is 0 or 1.
 """
 
 from __future__ import annotations
@@ -71,8 +71,7 @@ class FiniteJointDistribution:
     group: np.ndarray  # (n,) int group index per support point
     bin: np.ndarray  # (n,) int covariate bin per support point
     mass: np.ndarray  # (n,) float
-    outcome_mass: np.ndarray  # (n, k, k) float over (y0, y1) outcome indices
-    outcomes: tuple = (0, 1)
+    outcome_mass: np.ndarray  # (n, 2, 2) float over (y0, y1) in {0, 1}
     cf_mass: dict = field(default_factory=dict)  # group value -> (n, n) float
 
     def __post_init__(self):
@@ -92,6 +91,8 @@ class FiniteJointDistribution:
             raise DomainError("non-finite probability mass")
         if min(t.min(initial=np.inf) for t in tables) < 0:
             raise NegativeMassError("negative probability mass")
+        if self.outcome_mass.shape != (self.n, 2, 2):
+            raise InconsistentMassError("outcome masses must have shape (n, 2, 2)")
         if abs(self.mass.sum() - 1.0) > _SUM_TOL:
             raise InconsistentMassError("point masses do not sum to 1")
         om = self.outcome_mass.sum(axis=(1, 2))
@@ -110,7 +111,7 @@ class FiniteJointDistribution:
         return float(self.mass[self.group == a].sum())
 
     def y1_joint(self) -> np.ndarray:
-        """(n, k) array of Pr(X = x_i, Y(1) = y_j)."""
+        """(n, 2) array of Pr(X = x_i, Y(1) = y)."""
         return self.outcome_mass.sum(axis=1)
 
     def y0_joint(self) -> np.ndarray:
@@ -132,7 +133,6 @@ def build_distribution(
     y0: np.ndarray,
     y1: np.ndarray,
     cf: dict,
-    outcomes=(0, 1),
 ) -> FiniteJointDistribution:
     """Aggregate per-draw arrays into empirical joint masses.
 
@@ -145,16 +145,15 @@ def build_distribution(
     of cells sends each one to the nearest factually observed bin in the same
     group, ties to the smaller bin, so row sums stay exact; bins outside the
     factual range snap like the range's end bins. A counterfactual group with
-    no factual draws raises ``EmptyInputError``, and an outcome value missing
-    from ``outcomes`` raises ``DomainError``.
+    no factual draws raises ``EmptyInputError``, and an outcome value other
+    than 0 or 1 raises ``DomainError``.
     """
     n_draws = len(group)
-    k = len(outcomes)
     support_group, support_bin, inverse, lookup = _support_index(group, bin_index)
     n = len(support_group)
 
-    flat = (inverse * k + _outcome_index(y0, outcomes)) * k + _outcome_index(y1, outcomes)
-    om_counts = np.bincount(flat, minlength=n * k * k).reshape(n, k, k)
+    flat = (inverse * 2 + _binary(y0)) * 2 + _binary(y1)
+    om_counts = np.bincount(flat, minlength=n * 4).reshape(n, 2, 2)
 
     bins = np.arange(support_bin.min(), support_bin.max() + 1)
     snap = _snap_table(lookup(np.arange(support_group[0], support_group[-1] + 1)[:, None], bins))
@@ -171,7 +170,6 @@ def build_distribution(
         bin=support_bin,
         mass=om_counts.sum(axis=(1, 2)) / n_draws,
         outcome_mass=om_counts / n_draws,
-        outcomes=tuple(outcomes),
         cf_mass=cf_mass,
     )
 
@@ -205,16 +203,14 @@ def _support_index(group, bin_index):
     return observed // shape[1] + g_lo, observed % shape[1] + b_lo, point.ravel()[cell], lookup
 
 
-def _outcome_index(y, outcomes) -> np.ndarray:
-    """Position of each draw's value in ``outcomes``; unknown values raise."""
+def _binary(y) -> np.ndarray:
+    """Outcome values as int64, checked as given: a value other than 0 or 1
+    (0.5 included) raises ``DomainError``."""
     y = np.asarray(y)
-    index = np.full(y.shape, -1, dtype=np.int64)
-    for j, value in enumerate(outcomes):
-        index[y == value] = j
-    if np.any(index < 0):
-        missing = y[index < 0].tolist()[0]
-        raise DomainError(f"outcome value {missing!r} not in outcomes {tuple(outcomes)}")
-    return index
+    other = (y != 0) & (y != 1)
+    if np.any(other):
+        raise DomainError(f"outcome value {y[other].tolist()[0]!r} is not 0 or 1")
+    return y.astype(np.int64)
 
 
 def _snap_table(grid: np.ndarray) -> np.ndarray:
@@ -262,23 +258,22 @@ def discretize(
     return build_distribution(group, bins, y0, y1, cf)
 
 
-def from_table(rows, cf_rows=None, outcomes=(0, 1)) -> FiniteJointDistribution:
+def from_table(rows, cf_rows=None) -> FiniteJointDistribution:
     """Build a distribution from explicit (group, bin, y0, y1, mass) rows.
 
     ``cf_rows``, when given, holds (aprime, i_group, i_bin, j_group, j_bin,
     mass) entries; both tables are normalized by the same total. An outcome
-    value missing from ``outcomes`` raises ``DomainError``.
+    value other than 0 or 1 raises ``DomainError``.
     """
     table = np.array(list(rows), dtype=object).reshape(-1, 5)
     g, b, y0, y1, m = table.T
     m = m.astype(np.float64)
     if np.any(m < 0):
         raise NegativeMassError(f"negative mass in row {tuple(table[np.argmax(m < 0)])}")
-    k = len(outcomes)
     support_group, support_bin, point, lookup = _support_index(g, b)
     n = len(support_group)
-    flat = (point * k + _outcome_index(y0, outcomes)) * k + _outcome_index(y1, outcomes)
-    om = np.bincount(flat, weights=m, minlength=n * k * k).reshape(n, k, k)
+    flat = (point * 2 + _binary(y0)) * 2 + _binary(y1)
+    om = np.bincount(flat, weights=m, minlength=n * 4).reshape(n, 2, 2)
     total = om.sum()
     if total <= 0:
         raise ZeroMassError("table has zero total mass")
@@ -303,7 +298,6 @@ def from_table(rows, cf_rows=None, outcomes=(0, 1)) -> FiniteJointDistribution:
         bin=support_bin,
         mass=om.sum(axis=(1, 2)),
         outcome_mass=om,
-        outcomes=tuple(outcomes),
         cf_mass=cf_mass,
     )
 
@@ -323,8 +317,7 @@ def utility_table(dist: FiniteJointDistribution, lam: float) -> UtilityTable:
         raise ValueError("lambda must be nonnegative")
     if np.any(dist.mass <= 0):
         raise ZeroRowError("every support point needs positive mass")
-    y_values = np.asarray(dist.outcomes, dtype=np.float64)
-    r = dist.y1_joint() @ y_values / dist.mass
+    r = dist.y1_joint()[:, 1] / dist.mass
     u = r + lam * (dist.group == 1)
     return UtilityTable(lam=float(lam), u=u, r=r)
 
@@ -387,18 +380,17 @@ def read_csv(path, columns, what: str) -> list:
 
 
 def write_tables(dist: FiniteJointDistribution, mass_path, cf_path=None) -> None:
-    y = dist.outcomes
     rows = (
-        (dist.group[i], dist.bin[i], y[j0], y[j1], dist.outcome_mass[i, j0, j1])
-        for i, j0, j1 in zip(*np.nonzero(dist.outcome_mass > 0))
+        (dist.group[i], dist.bin[i], y0, y1, dist.outcome_mass[i, y0, y1])
+        for i, y0, y1 in zip(*np.nonzero(dist.outcome_mass > 0))
     )
     write_csv(mass_path, [name for name, _ in _MASS_COLUMNS], rows)
     if cf_path is not None:
         write_pair_table(cf_path, dist, dist.cf_mass, "mass")
 
 
-def load_tables(mass_path, cf_path=None, outcomes=(0, 1)):
+def load_tables(mass_path, cf_path=None):
     """Read ``write_tables`` output; a malformed file raises ``ConfigError``."""
     rows = read_csv(mass_path, _MASS_COLUMNS, "mass table")
     cf_rows = [] if cf_path is None else read_csv(cf_path, _CF_COLUMNS, "counterfactual table")
-    return from_table(rows, cf_rows, outcomes=outcomes)
+    return from_table(rows, cf_rows)

@@ -7,9 +7,9 @@ a division by a vanishing probability, and the constant policy d = b has
 residuals at the level of float rounding on every row.
 
 A family emits one row per independent condition. The group rows of an
-independence stratum (CEO, EO, CPF) sum to zero, and so do a group's outcome
-rows under CPP, so the last of each such set is implied by the others and
-left out; the feasible set is the one the full set of rows defines.
+independence stratum (CEO, EO, CPF) sum to zero, and so do a group's two
+outcome rows under CPP, so the last of each such set is implied by the
+others and left out; the feasible set is the one the full set of rows defines.
 
 CF and PSF are solved from the structure of the counterfactual swap chain
 when it is known (see ``psf_rows``): a fair policy is constant on each
@@ -20,7 +20,6 @@ support point, and its policy is checked against the original rows.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +56,8 @@ class FairnessSpec:
     ``omega`` reduces covariates to strata for CPF/PSF: "constant" pools
     everything and "identity" keeps each support point its own stratum.
     ``grid_step`` is the spacing of the search lattice for CPP; 1/grid_step
-    must be an integer (within 1e-9 relative), so the lattice reaches every
-    vertex of the simplex.
+    must be an integer (within 1e-9 relative), so the lattice reaches both
+    ends, (0, 1) and (1, 0).
     """
 
     kind: str = "none"
@@ -199,28 +198,21 @@ def _swap_rows(dist: FiniteJointDistribution) -> np.ndarray:
 
 
 def cpp_rows(dist: FiniteJointDistribution, C) -> ConstraintRows:
-    """Rows forcing Pr(Y(1)=y | A=a, D=0) = C_y for every group.
+    """Rows forcing Pr(Y(1)=y | A=a, D=0) = C_y for every group, C = (C_0, C_1).
 
     Linear form: sum_i d_i (C_y Pr(a, x_i) - Pr(y, a, x_i))
     = C_y sum_i Pr(a, x_i) - sum_i Pr(y, a, x_i).
-    As sum_y C_y = 1 and sum_y Pr(y, a, x_i) = Pr(a, x_i), a group's rows sum
-    to zero over y, so the last outcome's row is implied and left out: k - 1
-    rows per group, ordered by group, then outcome.
+    As C_0 + C_1 = 1 and Pr(0, a, x_i) + Pr(1, a, x_i) = Pr(a, x_i), a
+    group's y = 1 row is minus its y = 0 row and left out: one row per
+    group, the y = 0 row, ordered by group.
     """
     C = np.asarray(C, dtype=np.float64)
-    k = dist.outcome_mass.shape[1]
-    if C.shape != (k,) or abs(C.sum() - 1.0) > 1e-9 or C.min() < -1e-12:
-        raise ValueError("C must be a probability vector over outcomes")
-    y1j = dist.y1_joint()
-    rows, rhs = [], []
-    for a in np.unique(dist.group):
-        in_a = dist.group == a
-        m_a = dist.mass * in_a
-        for j in range(k - 1):
-            m_ay = y1j[:, j] * in_a
-            rows.append(C[j] * m_a - m_ay)
-            rhs.append(C[j] * m_a.sum() - m_ay.sum())
-    return ConstraintRows("CPP", np.array(rows).reshape(-1, dist.n), np.array(rhs))
+    if C.shape != (2,) or abs(C.sum() - 1.0) > 1e-9 or C.min() < -1e-12:
+        raise ValueError("C must be a probability pair (C_0, C_1)")
+    in_a = dist.group == np.unique(dist.group)[:, None]  # (G, n)
+    m_a = dist.mass * in_a
+    m_a0 = dist.y1_joint()[:, 0] * in_a
+    return ConstraintRows("CPP", C[0] * m_a - m_a0, C[0] * m_a.sum(axis=1) - m_a0.sum(axis=1))
 
 
 def lattice_divisions(step) -> int | None:
@@ -232,14 +224,10 @@ def lattice_divisions(step) -> int | None:
     return m if abs(1.0 / step - m) <= 1e-9 * m else None
 
 
-def _cpp_grid(k: int, step: float):
-    """Lattice points of the probability simplex over k outcomes."""
+def _cpp_grid(step: float):
+    """Lattice points (C_0, C_1) of the probability pairs, ascending in C_0."""
     m = lattice_divisions(step)
-    points = []
-    for combo in itertools.combinations_with_replacement(range(k), m):
-        counts = np.bincount(np.array(combo), minlength=k)
-        points.append(tuple(counts / m))
-    return sorted(points)
+    return [(j / m, (m - j) / m) for j in range(m + 1)]
 
 
 def constraint_sets(dist, spec: FairnessSpec):
@@ -287,7 +275,7 @@ def solve_fair(
     gives the absorption columns A, solve it over z in [0, 1]^K with
     d = A z: maximize (c A) z subject to (mass A) z <= b. Elsewhere the LP
     is over d with every constraint row. CPP sweeps a lattice over the
-    admissible rejected-outcome profiles, solves one LP per lattice point,
+    rejected applicants' Y(1) rates (C_0, C_1), solves one LP per lattice point,
     and keeps the feasible solution with the largest objective; ties go to
     the lexicographically smallest lattice point (the sweep visits points in
     that order and only strict improvements replace the incumbent).
@@ -301,8 +289,7 @@ def solve_fair(
     p_row, b_val = budget_row(dist, b)
     ub_rows = (p_row[None, :], np.array([b_val]))
     if spec.kind == "CPP":
-        grid = _cpp_grid(dist.outcome_mass.shape[1], spec.grid_step)
-        candidates = ((C, [cpp_rows(dist, C)]) for C in grid)
+        candidates = ((C, [cpp_rows(dist, C)]) for C in _cpp_grid(spec.grid_step))
     else:
         candidates = [(None, constraint_sets(dist, spec))]
     chain = _fair_basis(dist, spec)

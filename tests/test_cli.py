@@ -3,10 +3,8 @@ import os
 import re
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 
@@ -19,6 +17,11 @@ from causalfair.scm import ADMISSIONS_CONSTANT_NAMES
 
 
 GRID_STEPS = ("0.6", "0.7", "0.3", "0.15", "0", "1.5")  # 1/step not an integer, or out of (0, 1]
+NUMBER_KEYS = (  # a JSON boolean is not a number here
+    "simulation.bin_width", "simulation.score_lo", "simulation.score_hi",
+    "policy.b", "policy.lam", "policy.grid_step", "output.population",
+)
+TYPOS = ("simulation.bin_widht", "policy.kinds", "output.dir")  # unknown keys in a block
 
 
 def tiny_config(tmp_path, **policy):
@@ -242,15 +245,11 @@ class TestSubcommands:
             b2 = (out2 / name).read_bytes()
             assert b1 == b2, name
 
-    def test_summary_schema(self, tmp_path):
+    def test_summary_schema(self, tmp_path, validate_summary):
         cfg = tiny_config(tmp_path)
         out = tmp_path / "out"
-        cli.main(["--config", str(cfg), "--out", str(out), "run"])
-        schema = json.loads(
-            resources.files("causalfair").joinpath("schemas/summary.schema.json").read_text()
-        )
-        summary = json.loads((out / "summary.json").read_text())
-        jsonschema.validate(summary, schema)
+        assert cli.main(["--config", str(cfg), "--out", str(out), "run"]) == 0
+        validate_summary(out)
 
     def test_simulate_then_optimize(self, tmp_path):
         cfg = tiny_config(tmp_path, kind="CEO")
@@ -354,13 +353,17 @@ class TestSubcommands:
             ("mass.csv", None, "ConfigError", "cannot read mass table"),
             ("mass.csv", "group,bin,y0,y1,mass\n0,50,0,1,0.5\nx,50,0,1,0.5\n", "ConfigError", "row 2"),
             ("mass.csv", "group,bin,y0,y1,mass\n0,50,0,7,0.5\n", "DomainError", "outcome value 7"),
+            ("mass.csv", "group,bin,y0,y1,mass\n0,50,2,1,0.5\n", "DomainError", "outcome value 2 "),
+            ("mass.csv", "group,bin,y0,y1,mass\n0,50,0,-1,0.5\n", "DomainError", "outcome value -1 "),
+            ("mass.csv", "group,bin,y0,y1,mass\n0,50,0,0.5,0.5\n", "ConfigError", "row 1"),
             ("cf.csv", "aprime,i_group,i_bin,j_group,j_bin,mass\n1,0,50,1,51\n", "ConfigError", "row 1"),
             ("mass.csv", "group,bin,y0,y1,mass\n0,50,0,1,0.5\n0,51,0,1,nan\n", "ConfigError", "row 2"),
             ("cf.csv", "aprime,i_group,i_bin,j_group,j_bin,mass\n1,0,50,1,51,inf\n", "ConfigError", "row 1"),
             ("mass.csv", "group,bin,y0,y1,mass\n0,9223372036854775808,0,1,0.5\n", "ConfigError", "row 1"),
         ],
         ids=[
-            "missing-mass", "non-integer-group", "unknown-outcome", "short-cf-row",
+            "missing-mass", "non-integer-group", "unknown-outcome", "outcome-two",
+            "outcome-minus-one", "outcome-half", "short-cf-row",
             "nan-mass", "inf-cf-mass", "bin-past-int64",
         ],
     )
@@ -400,12 +403,20 @@ class TestSubcommands:
             ('{"simulation": {"seed": %d}}' % 2**96, "simulation.seed must be an integer"),
             # Rounding 1/step would run 0.6 on the 0.5 lattice and 0.7 on the 1.0 one.
             *(('{"policy": {"grid_step": %s}}' % step, "policy.grid_step must") for step in GRID_STEPS),
+            *(('{"%s": {"%s": true}}' % tuple(k.split(".")), f"{k} must be a number") for k in NUMBER_KEYS),
+            ('{"policy": {"lam": true}, "output": {"population": true}}', "policy.lam must be a number"),
+            *(
+                ('{"%s": {"%s": 0.5}}' % (b, k), f"unknown config key {k!r} in block {b!r}")
+                for b, k in (t.split(".") for t in TYPOS)
+            ),
         ],
         ids=[
             "missing", "malformed", "not-object", "zero-width", "empty-range", "string-budget",
             "string-resolution", "resolution-one", "fractional-resolution", "fractional-n",
             "string-seed", "negative-seed", "fractional-seed", "seed-2**96",
             *(f"grid-step-{step}" for step in GRID_STEPS),
+            *(f"bool-{k}" for k in NUMBER_KEYS), "bool-lam-and-population",
+            *(f"typo-{k}" for k in TYPOS),
         ],
     )
     def test_bad_config_is_structured(self, tmp_path, capsys, body, expected):
@@ -478,7 +489,7 @@ class TestSubcommands:
         assert err["error"] == "SolverError"
         assert "violates" in err["message"]
 
-    def test_run_does_not_import_scipy(self, tmp_path):
+    def test_run_does_not_import_scipy(self, tmp_path, validate_summary):
         # scipy.optimize alone adds about 49 MB of peak memory to a run.
         cfg = tiny_config(tmp_path)
         script = (
@@ -493,3 +504,4 @@ class TestSubcommands:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+        validate_summary(tmp_path / "o")

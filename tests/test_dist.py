@@ -42,23 +42,19 @@ def tiny_dist():
     return from_table(rows, cf_rows)
 
 
-def _reference_build_distribution(group, bin_index, y0, y1, cf, outcomes=(0, 1)):
+def _reference_build_distribution(group, bin_index, y0, y1, cf):
     """The per-draw implementation that ``build_distribution`` replaced, kept as its oracle."""
     n_draws = len(group)
     if n_draws == 0:
         raise EmptyInputError("no draws")
-    outcome_index = {y: j for j, y in enumerate(outcomes)}
-    k = len(outcomes)
 
     keys = np.stack([group, bin_index], axis=1)
     support, inverse = np.unique(keys, axis=0, return_inverse=True)
     n = len(support)
 
     counts = np.bincount(inverse, minlength=n).astype(np.float64)
-    om_counts = np.zeros((n, k, k))
-    j0 = np.array([outcome_index[v] for v in np.asarray(y0).tolist()])
-    j1 = np.array([outcome_index[v] for v in np.asarray(y1).tolist()])
-    np.add.at(om_counts, (inverse, j0, j1), 1.0)
+    om_counts = np.zeros((n, 2, 2))
+    np.add.at(om_counts, (inverse, np.asarray(y0), np.asarray(y1)), 1.0)
 
     point_of = {(int(g), int(b)): i for i, (g, b) in enumerate(support)}
     by_group = {}
@@ -86,29 +82,24 @@ def _reference_build_distribution(group, bin_index, y0, y1, cf, outcomes=(0, 1))
         bin=support[:, 1],
         mass=counts / n_draws,
         outcome_mass=om_counts / n_draws,
-        outcomes=tuple(outcomes),
         cf_mass=cf_mass,
     )
 
 
-def _reference_from_table(rows, cf_rows=None, outcomes=(0, 1)):
+def _reference_from_table(rows, cf_rows=None):
     """The dict-per-row implementation that ``from_table`` replaced, kept as its oracle."""
     rows = list(rows)
     if not rows:
         raise EmptyInputError("no rows")
-    k = len(outcomes)
-    outcome_index = {y: j for j, y in enumerate(outcomes)}
-    j0s = [outcome_index[r[2]] for r in rows]
-    j1s = [outcome_index[r[3]] for r in rows]
 
     agg = {}
-    for (g, b, y0, y1, m), j0, j1 in zip(rows, j0s, j1s):
+    for g, b, y0, y1, m in rows:
         m = float(m)
         if m < 0:
             raise NegativeMassError(f"negative mass in row {(g, b, y0, y1, m)}")
         key = (int(g), int(b))
-        cell = agg.setdefault(key, np.zeros((k, k)))
-        cell[j0, j1] += m
+        cell = agg.setdefault(key, np.zeros((2, 2)))
+        cell[y0, y1] += m
 
     support = sorted(agg)
     total = sum(cell.sum() for cell in agg.values())
@@ -116,7 +107,7 @@ def _reference_from_table(rows, cf_rows=None, outcomes=(0, 1)):
         raise ZeroMassError("table has zero total mass")
 
     n = len(support)
-    om = np.zeros((n, k, k))
+    om = np.zeros((n, 2, 2))
     for i, key in enumerate(support):
         om[i] = agg[key] / total
     mass = om.sum(axis=(1, 2))
@@ -139,7 +130,6 @@ def _reference_from_table(rows, cf_rows=None, outcomes=(0, 1)):
         bin=np.array([b for _, b in support]),
         mass=mass,
         outcome_mass=om,
-        outcomes=tuple(outcomes),
         cf_mass=cf_mass,
     )
 
@@ -158,14 +148,13 @@ def assert_same_distribution(got, want, rtol):
 @st.composite
 def table_rows(draw):
     """Mass and cf rows over 1-10 (group, bin) points with gapped and negative
-    bins, 2 or 3 outcomes and 0-3 aprime values, some masses zero. Points
+    bins, outcomes 0 and 1 and 0-3 aprime values, some masses zero. Points
     repeat across mass rows, and each mass row gives one cf row per aprime to
     a random point, so cf rows repeat too; both tables come shuffled."""
-    outcomes = draw(st.sampled_from([(0, 1), (1, 0), (0, 1, 2), (2, -1, 5)]))
     cells = st.tuples(st.integers(-1, 2), st.sampled_from([-7, -4, -3, 0, 2, 6, 9]))
     points = draw(st.lists(cells, min_size=1, max_size=10, unique=True))
     masses = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
-    y = st.sampled_from(outcomes)
+    y = st.sampled_from((0, 1))
     rows = [
         (g, b, draw(y), draw(y), draw(masses))
         for g, b in points + draw(st.lists(st.sampled_from(points), max_size=10))
@@ -174,7 +163,7 @@ def table_rows(draw):
     cf_rows = [
         (a, g, b, *draw(st.sampled_from(points)), m) for a in aprimes for g, b, _, _, m in rows
     ]
-    return draw(st.permutations(rows)), draw(st.permutations(cf_rows)), outcomes
+    return draw(st.permutations(rows)), draw(st.permutations(cf_rows))
 
 
 @st.composite
@@ -184,7 +173,6 @@ def draw_arrays(draw):
     halfway between two observed bins."""
     n_groups = draw(st.integers(1, 3))
     g_lo = draw(st.integers(-1, 2))
-    outcomes = draw(st.sampled_from([(0, 1), (1, 0), (0, 1, 2), (2, -1, 5)]))
     n_draws = draw(st.integers(1, 60))
 
     def ints(elements):
@@ -192,14 +180,14 @@ def draw_arrays(draw):
 
     group = ints(st.integers(g_lo, g_lo + n_groups - 1))
     bins = ints(st.sampled_from([-7, -4, -3, 0, 2, 6, 9]))
-    y0 = ints(st.sampled_from(outcomes))
-    y1 = ints(st.sampled_from(outcomes))
+    y0 = ints(st.sampled_from((0, 1)))
+    y1 = ints(st.sampled_from((0, 1)))
     observed = st.sampled_from(sorted(set(group.tolist())))
     cf = {
         aprime: (ints(observed), ints(st.integers(-10, 12)))
         for aprime in draw(st.sets(st.integers(0, 2), max_size=2))
     }
-    return group, bins, y0, y1, cf, outcomes
+    return group, bins, y0, y1, cf
 
 
 class TestBinning:
@@ -296,12 +284,21 @@ class TestBuildDistribution:
                 cf={},
             )
 
+    @pytest.mark.parametrize("value", [2, -1, 0.5])
+    @pytest.mark.parametrize("which", ["y0", "y1"])
+    def test_non_binary_outcome_raises(self, which, value):
+        # 0.5 is checked as given, not truncated to 0 by an integer cast.
+        y = {"y0": np.array([0, 1]), "y1": np.array([1, 0])}
+        y[which] = np.array([1, value])
+        with pytest.raises(DomainError, match=f"outcome value {value!r} "):
+            build_distribution(np.array([0, 0]), np.array([3, 4]), cf={}, **y)
+
     @settings(max_examples=300, deadline=None)
     @given(draw_arrays())
     def test_matches_per_draw_reference(self, arrays):
-        group, bins, y0, y1, cf, outcomes = arrays
-        got = build_distribution(group, bins, y0, y1, cf, outcomes=outcomes)
-        want = _reference_build_distribution(group, bins, y0, y1, cf, outcomes=outcomes)
+        group, bins, y0, y1, cf = arrays
+        got = build_distribution(group, bins, y0, y1, cf)
+        want = _reference_build_distribution(group, bins, y0, y1, cf)
         for name in ("group", "bin", "mass", "outcome_mass"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert list(got.cf_mass) == list(want.cf_mass)
@@ -313,14 +310,27 @@ class TestFromTable:
     @settings(max_examples=300, deadline=None)
     @given(table_rows())
     def test_matches_dict_reference(self, tables):
-        rows, cf_rows, outcomes = tables
+        rows, cf_rows = tables
         try:
-            want = _reference_from_table(rows, cf_rows, outcomes=outcomes)
+            want = _reference_from_table(rows, cf_rows)
         except CausalFairError as exc:
             with pytest.raises(type(exc)):
-                from_table(rows, cf_rows, outcomes=outcomes)
+                from_table(rows, cf_rows)
             return
-        assert_same_distribution(from_table(rows, cf_rows, outcomes=outcomes), want, rtol=1e-14)
+        assert_same_distribution(from_table(rows, cf_rows), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("value", [2, -1, 0.5])
+    def test_non_binary_outcome_raises(self, value):
+        for row in ((0, 2, value, 1, 1.0), (0, 2, 0, value, 1.0)):
+            with pytest.raises(DomainError, match=f"outcome value {value!r} "):
+                from_table([(0, 1, 0, 0, 1.0), row])
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2, 1), (2, 4), (1, 2, 2)])
+    def test_outcome_mass_must_be_two_by_two(self, shape):
+        outcome_mass = np.zeros(shape)
+        outcome_mass.reshape(len(outcome_mass), -1)[:, 0] = 1 / len(outcome_mass)
+        with pytest.raises(InconsistentMassError, match="shape"):
+            FiniteJointDistribution(group=[0, 1], bin=[1, 2], mass=[0.5, 0.5], outcome_mass=outcome_mass)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf / inf
     def test_non_finite_mass(self):
@@ -433,12 +443,12 @@ class TestCsvRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(draw_arrays())
     def test_write_then_load_property(self, arrays):
-        group, bins, y0, y1, cf, outcomes = arrays
-        d = build_distribution(group, bins, y0, y1, cf, outcomes=outcomes)
+        group, bins, y0, y1, cf = arrays
+        d = build_distribution(group, bins, y0, y1, cf)
         with tempfile.TemporaryDirectory() as tmp:
             mass_path, cf_path = Path(tmp, "mass.csv"), Path(tmp, "cf.csv")
             write_tables(d, mass_path, cf_path)
-            assert_same_distribution(load_tables(mass_path, cf_path, outcomes=outcomes), d, 1e-14)
+            assert_same_distribution(load_tables(mass_path, cf_path), d, 1e-14)
 
     def test_write_then_load(self, tmp_path):
         d = tiny_dist()

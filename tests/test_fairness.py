@@ -84,6 +84,17 @@ def _reference_cpf_joint(dist, omega):
     return np.stack(columns, axis=1)
 
 
+def _reference_cpp_grid(k, step):
+    """The lattice over the k-outcome probability simplex that ``_cpp_grid``
+    replaced, kept as its oracle for k = 2."""
+    m = round(1 / step)
+    points = []
+    for combo in itertools.combinations_with_replacement(range(k), m):
+        counts = np.bincount(np.array(combo), minlength=k)
+        points.append(tuple(counts / m))
+    return sorted(points)
+
+
 def _reference_cpp_rows(dist, C):
     """Per-cell CPP rows: one for every (group, outcome), the implied last
     outcome's row included. Returns (a, rhs)."""
@@ -102,17 +113,16 @@ def _reference_cpp_rows(dist, C):
 
 @st.composite
 def sparse_distributions(draw):
-    """2-3 groups, 2-3 outcomes, 1-3 score bins; a random subset of the
+    """2-3 groups, outcomes 0 and 1, 1-3 score bins; a random subset of the
     (group, bin, Y(0), Y(1)) cells carries mass, so strata that lack a group
     and strata holding a single group both occur."""
     n_groups = draw(st.integers(2, 3))
-    k = draw(st.integers(2, 3))
     n_bins = draw(st.integers(1, 3))
-    cells = list(itertools.product(range(n_groups), range(n_bins), range(k), range(k)))
+    cells = list(itertools.product(range(n_groups), range(n_bins), range(2), range(2)))
     weights = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 5]), min_size=len(cells), max_size=len(cells)))
     rows = [(*cell, w) for cell, w in zip(cells, weights) if w]
     assume(rows)
-    return from_table(rows, outcomes=tuple(range(k)))
+    return from_table(rows)
 
 
 def _rank(m):
@@ -337,7 +347,7 @@ class TestRowSpace:
             ref_a, ref_rhs, ref_skipped = _reference_independence_rows(dist, joint)
             assert new.skipped == ref_skipped
             pairs.append((new, ref_a, ref_rhs))
-        C = data.draw(st.sampled_from(_cpp_grid(dist.outcome_mass.shape[1], step)))
+        C = data.draw(st.sampled_from(_cpp_grid(step)))
         pairs.append((cpp_rows(dist, C), *_reference_cpp_rows(dist, C)))
         for new, ref_a, ref_rhs in pairs:
             new_ab = np.column_stack([new.a, new.rhs])
@@ -360,9 +370,13 @@ class TestFairnessSpec:
     @pytest.mark.parametrize("step", [0.1, 0.05, 0.02, 0.25, 0.01])
     def test_cpp_lattice_reaches_every_vertex(self, step):
         FairnessSpec(kind="CPP", grid_step=step)
-        grid = _cpp_grid(2, step)
+        grid = _cpp_grid(step)
         assert len(grid) == round(1 / step) + 1
         assert grid[0] == (0.0, 1.0) and grid[-1] == (1.0, 0.0)
+
+    @pytest.mark.parametrize("step", [0.01, 0.02, 0.05, 0.1, 0.25])
+    def test_cpp_grid_matches_simplex_lattice(self, step):
+        assert _cpp_grid(step) == _reference_cpp_grid(2, step)
 
 
 class TestSolveFair:
