@@ -109,6 +109,8 @@ def _validate(config):
         raise ConfigError("policy.frontier_resolution must be an integer of at least 2")
     if config["output"]["population"] <= 0:
         raise ConfigError("output.population must be positive")
+    if not isinstance(config["output"]["directory"], str):
+        raise ConfigError("output.directory must be a string")
 
 
 def _is_int(value, lo, hi=None) -> bool:
@@ -208,7 +210,7 @@ def simulate(config):
 
 
 def write_policy_csv(path, dist, policy):
-    dist_mod.write_csv(path, ["group", "bin", "d"], zip(dist.group, dist.bin, policy.d))
+    dist_mod.write_csv(path, ["group", "bin", "d"], (dist.group, dist.bin, policy.d))
 
 
 def read_policy_csv(path, dist):
@@ -235,15 +237,9 @@ def read_policy_csv(path, dist):
     return Policy(d=d[inverse])
 
 
-def write_frontier_csv(path, points):
-    dist_mod.write_csv(
-        path,
-        ["share", "quantile_a0", "quantile_a1", "diversity", "graduation", "on_frontier"],
-        (
-            (pt.share, pt.quantiles[0], pt.quantiles[1], pt.diversity, pt.graduation, pt.on_frontier)
-            for pt in points
-        ),
-    )
+def write_frontier_csv(path, front):
+    names = [f.name for f in dataclasses.fields(front)]
+    dist_mod.write_csv(path, names, [getattr(front, name) for name in names])
 
 
 def write_transitions_csv(path, dist):
@@ -269,12 +265,8 @@ def _markov_report(dist, policy, analysis=None):
         mats = [dist_mod.transition_matrix(dist, a) for a in sorted(dist.cf_mass)]
         analysis = markov_mod.analyze(mats)
     report = markov_mod.check_pi_fair_structure(policy, analysis)
-    return {
-        "num_classes": report["num_classes"],
-        "class_sizes": report["class_sizes"],
-        "transient_count": report["transient_count"],
-        "max_policy_deviation": report["max_policy_deviation"],
-    }
+    keys = ("num_classes", "class_sizes", "transient_count", "max_policy_deviation")
+    return {key: report[key] for key in keys}
 
 
 def run(config, out_dir):
@@ -309,8 +301,8 @@ def run(config, out_dir):
             policies[kind] = result.policy
         definitions[kind] = entry
 
-    points = frontier(d_pi, b, pol["frontier_resolution"])
-    write_frontier_csv(os.path.join(out_dir, "frontier.csv"), points)
+    front = frontier(d_pi, b, pol["frontier_resolution"])
+    write_frontier_csv(os.path.join(out_dir, "frontier.csv"), front)
 
     export_kind = pol["kind"]
     export_policy = policies.get(export_kind, policies["none"])
@@ -328,7 +320,7 @@ def run(config, out_dir):
         "config": config,
         "definitions": definitions,
         "markov": markov_summary,
-        "frontier_points": len(points),
+        "frontier_points": len(front.share),
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
@@ -372,8 +364,8 @@ def _cmd_frontier(config, out_dir, args):
     os.makedirs(out_dir, exist_ok=True)
     pol = config["policy"]
     d = _load_or_simulate(config, args)
-    points = frontier(d, pol["b"], pol["frontier_resolution"])
-    write_frontier_csv(os.path.join(out_dir, "frontier.csv"), points)
+    front = frontier(d, pol["b"], pol["frontier_resolution"])
+    write_frontier_csv(os.path.join(out_dir, "frontier.csv"), front)
     return 0
 
 

@@ -332,28 +332,27 @@ _PAIR_COLUMNS = (
 _CF_COLUMNS = _PAIR_COLUMNS + (("mass", float),)
 
 
-def _cell(x):
-    """Floats as ``repr(float(x))``, which reads back exactly; the rest as ints."""
-    return repr(float(x)) if isinstance(x, (float, np.floating)) else int(x)
-
-
-def write_csv(path, header, rows) -> None:
-    """The one CSV writer of the package: a header, then ``rows`` by ``_cell``."""
+def write_csv(path, header, columns) -> None:
+    """The one CSV writer of the package: a header, then one row per entry of
+    the equal-length ``columns``. A float column is written as ``repr`` of each
+    value, which reads back exactly; any other column, bools included, as ints."""
+    cells = [
+        map(repr, c.tolist()) if c.dtype.kind == "f" else map(str, c.astype(np.int64).tolist())
+        for c in map(np.asarray, columns)
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_cell(x) for x in row] for row in rows)
+        fh.writelines(",".join(row) + "\r\n" for row in (header, *zip(*cells)))
 
 
 def write_pair_table(path, dist: FiniteJointDistribution, tables: dict, value: str) -> None:
     """One row (aprime, i_group, i_bin, j_group, j_bin, value) per nonzero
     entry of each (n, n) table, by aprime and then row-major."""
-    rows = (
-        (aprime, dist.group[i], dist.bin[i], dist.group[j], dist.bin[j], mat[i, j])
-        for aprime, mat in sorted(tables.items())
-        for i, j in zip(*np.nonzero(mat))
-    )
-    write_csv(path, [name for name, _ in _PAIR_COLUMNS] + [value], rows)
+    aprimes = sorted(tables)
+    stacked = np.array([tables[a] for a in aprimes]).reshape(-1, dist.n, dist.n)
+    k, i, j = np.nonzero(stacked)
+    aprime = np.array(aprimes, dtype=np.int64)[k]
+    columns = (aprime, dist.group[i], dist.bin[i], dist.group[j], dist.bin[j], stacked[k, i, j])
+    write_csv(path, [name for name, _ in _PAIR_COLUMNS] + [value], columns)
 
 
 def read_csv(path, columns, what: str) -> list:
@@ -380,11 +379,9 @@ def read_csv(path, columns, what: str) -> list:
 
 
 def write_tables(dist: FiniteJointDistribution, mass_path, cf_path=None) -> None:
-    rows = (
-        (dist.group[i], dist.bin[i], y0, y1, dist.outcome_mass[i, y0, y1])
-        for i, y0, y1 in zip(*np.nonzero(dist.outcome_mass > 0))
-    )
-    write_csv(mass_path, [name for name, _ in _MASS_COLUMNS], rows)
+    i, y0, y1 = np.nonzero(dist.outcome_mass > 0)
+    columns = (dist.group[i], dist.bin[i], y0, y1, dist.outcome_mass[i, y0, y1])
+    write_csv(mass_path, [name for name, _ in _MASS_COLUMNS], columns)
     if cf_path is not None:
         write_pair_table(cf_path, dist, dist.cf_mass, "mass")
 

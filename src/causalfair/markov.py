@@ -6,7 +6,7 @@ and on transient states they are absorption-weighted mixtures of the class
 values. This module finds that structure and checks a policy against it.
 
 The structure comes from one boolean reachability closure: starting from
-``reach = (P > tol) | I``, the matrix is squared until it stops changing,
+``reach = (P > _TOL) | I``, the matrix is squared until it stops changing,
 which doubles the path length covered each time (about log2(n) products).
 The squaring runs in float32 and is exact: an entry of the product of two
 0/1 matrices counts the states through which one path joins the other, an
@@ -27,6 +27,8 @@ from .errors import EmptyInputError, NonStochasticError
 
 __all__ = ["ChainAnalysis", "analyze", "check_pi_fair_structure"]
 
+_TOL = 1e-9  # edge threshold, stochasticity slack and structure tolerance
+
 
 @dataclass
 class ChainAnalysis:
@@ -34,14 +36,13 @@ class ChainAnalysis:
     classes: tuple  # tuple of tuples: recurrent classes (state indices)
     transient: tuple  # transient state indices
     absorption: np.ndarray  # (n_states, n_classes)
-    solve_residual: float = 0.0
 
 
-def analyze(matrices, tol: float = 1e-9) -> ChainAnalysis:
+def analyze(matrices) -> ChainAnalysis:
     """Classify states of the averaged chain and compute absorption odds.
 
     ``matrices`` is a non-empty collection of row-stochastic matrices of
-    equal size. Edges with averaged probability above ``tol`` define the
+    equal size. Edges with averaged probability above ``_TOL`` define the
     reachability graph; recurrent classes are its closed communicating
     classes, ordered by their smallest state, and absorption probabilities
     for transient states solve (I - Q) X = R on the transient block.
@@ -53,13 +54,13 @@ def analyze(matrices, tol: float = 1e-9) -> ChainAnalysis:
     for m in mats:
         if m.shape != (n, n):
             raise NonStochasticError("matrices must be square and same size")
-        if m.min() < -tol:
+        if m.min() < -_TOL:
             raise NonStochasticError("negative transition probability")
-        if np.max(np.abs(m.sum(axis=1) - 1.0)) > tol:
+        if np.max(np.abs(m.sum(axis=1) - 1.0)) > _TOL:
             raise NonStochasticError("rows must sum to 1")
     P = sum(mats) / len(mats)
 
-    reach = (P > tol) | np.eye(n, dtype=bool)
+    reach = (P > _TOL) | np.eye(n, dtype=bool)
     while True:
         r = reach.astype(np.float32)
         closed = (r @ r) > 0
@@ -72,24 +73,19 @@ def analyze(matrices, tol: float = 1e-9) -> ChainAnalysis:
     transient = np.flatnonzero(~recurrent)
     # Membership absorbs recurrent states; closed classes reach no transient one.
     absorption = reach[leaders].T.astype(np.float64)  # (n, K)
-    residual = 0.0
     if len(transient):
         A = np.eye(len(transient)) - P[np.ix_(transient, transient)]
-        R = P[transient] @ absorption
-        X = np.linalg.solve(A, R)
-        residual = float(np.max(np.abs(A @ X - R)))
-        absorption[transient] = X
+        absorption[transient] = np.linalg.solve(A, P[transient] @ absorption)
 
     return ChainAnalysis(
         P=P,
         classes=tuple(tuple(np.flatnonzero(reach[v]).tolist()) for v in leaders),
         transient=tuple(transient.tolist()),
         absorption=absorption,
-        solve_residual=residual,
     )
 
 
-def check_pi_fair_structure(policy, analysis: ChainAnalysis, tol: float = 1e-9) -> dict:
+def check_pi_fair_structure(policy, analysis: ChainAnalysis) -> dict:
     """How far a policy is from the class-constant-plus-absorption form.
 
     Reports the largest within-class spread of d over each recurrent class
@@ -114,5 +110,5 @@ def check_pi_fair_structure(policy, analysis: ChainAnalysis, tol: float = 1e-9) 
         "max_within_class_deviation": max(within, default=0.0),
         "reconstruction_deviation": recon_dev,
         "max_policy_deviation": max(max(within, default=0.0), recon_dev),
-        "structure_holds": max(max(within, default=0.0), recon_dev) <= tol,
+        "structure_holds": max(max(within, default=0.0), recon_dev) <= _TOL,
     }

@@ -19,7 +19,7 @@ from .errors import GroupMassZeroError, MultiGroupUnsupportedError
 __all__ = [
     "Policy",
     "ThresholdPolicy",
-    "FrontierPoint",
+    "Frontier",
     "threshold_policy",
     "induced_policy",
     "evaluate_policy",
@@ -55,12 +55,16 @@ class ThresholdPolicy:
 
 
 @dataclass(frozen=True)
-class FrontierPoint:
-    diversity: float
-    graduation: float
-    quantiles: dict  # group -> q_a
-    share: float
-    on_frontier: bool
+class Frontier:
+    """The budget-share sweep as equal-length columns, one entry per share;
+    the fields are ``frontier.csv``'s columns, in order."""
+
+    share: np.ndarray  # share of the budget that goes to group 1
+    quantile_a0: np.ndarray  # admission rate of group 0
+    quantile_a1: np.ndarray  # admission rate of group 1
+    diversity: np.ndarray
+    graduation: np.ndarray
+    on_frontier: np.ndarray  # bool
 
 
 def threshold_policy(
@@ -142,7 +146,7 @@ def evaluate_policy(policy: Policy, dist: FiniteJointDistribution):
     return float(diversity), float(graduation)
 
 
-def frontier(dist: FiniteJointDistribution, b: float, resolution: int = 200):
+def frontier(dist: FiniteJointDistribution, b: float, resolution: int = 200) -> Frontier:
     """Sweep budget shares between the two groups and evaluate each policy.
 
     The share ``s`` of the budget goes to group 1 and the rest to group 0;
@@ -167,12 +171,7 @@ def frontier(dist: FiniteJointDistribution, b: float, resolution: int = 200):
     cutoffs = {a: _cutoffs(_utility_atoms(dist, u0, a), q) for a, q in ((0, q0), (1, q1))}
     diversity, graduation = _coordinates(_admission(dist, u0.u, cutoffs), dist, u0.r)
     on_frontier = diversity >= diversity[np.argmax(graduation)] - 1e-12
-    return [
-        FrontierPoint(diversity=v, graduation=g, quantiles={0: a0, 1: a1}, share=s, on_frontier=f)
-        for s, a0, a1, v, g, f in zip(
-            *(x.tolist() for x in (share, q0, q1, diversity, graduation, on_frontier))
-        )
-    ]
+    return Frontier(share, q0, q1, diversity, graduation, on_frontier)
 
 
 def dominance_gap(policy: Policy, dist: FiniteJointDistribution, b: float, resolution: int = 200):
@@ -184,8 +183,8 @@ def dominance_gap(policy: Policy, dist: FiniteJointDistribution, b: float, resol
     such point on ties), or ``None`` when no sweep point dominates so.
     """
     diversity, graduation = evaluate_policy(policy, dist)
-    points = np.array([(pt.diversity, pt.graduation) for pt in frontier(dist, b, resolution)])
-    dd, dg = (points - (diversity, graduation)).T
+    front = frontier(dist, b, resolution)
+    dd, dg = front.diversity - diversity, front.graduation - graduation
     gain = np.where((dd > _SUM_TOL) & (dg > _SUM_TOL), np.minimum(dd, dg), 0.0)
     k = int(np.argmax(gain))
     return (float(dd[k]), float(dg[k])) if gain[k] > 0 else None

@@ -236,8 +236,12 @@ def _node_stream(seed: int, node_index: int) -> np.random.Generator:
 
 
 def _sample_exogenous(scm: Scm, n: int, seed: int) -> dict:
+    """Noise for every node but the decision, which is never evaluated; each
+    node keeps the stream of its index in ``dag.nodes``."""
     out = {}
     for idx, node in enumerate(scm.dag.nodes):
+        if node == scm.decision_node:
+            continue
         gen = _node_stream(seed, idx)
         if scm.exogenous[node] == "uniform-0-1":
             out[node] = gen.uniform(0.0, 1.0, size=n)
@@ -276,12 +280,14 @@ def draw_worlds(scm: Scm, pi: PathSet, targets, n: int, seed: int) -> WorldSampl
 
 
 def evaluate_worlds(scm: Scm, pi: PathSet, targets, exogenous: dict) -> WorldSample:
-    """Like ``draw_worlds`` but with caller-supplied exogenous arrays."""
+    """Like ``draw_worlds`` but with caller-supplied exogenous arrays, one per
+    node other than the decision node."""
     for t in targets:
         if t not in (0, 1):
             raise ValueError(f"target {t} outside group range")
-    n = len(next(iter(exogenous.values())))
-    exo = {node: np.asarray(exogenous[node], dtype=np.float64) for node in scm.dag.nodes}
+    nodes = [v for v in scm.dag.nodes if v != scm.decision_node]
+    exo = {node: np.asarray(exogenous[node], dtype=np.float64) for node in nodes}
+    n = len(exo[scm.group_node])
     factual = _propagate(scm, exo, scm.dag.edges())
     sample = WorldSample(n=n, exogenous=exo, factual=factual, counterfactual={})
     add_counterfactuals(scm, sample, pi, targets)

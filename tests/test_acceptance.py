@@ -5,7 +5,6 @@ tolerance directly, so the pass/fail line in the pytest report is the
 acceptance verdict for that criterion.
 """
 
-import itertools
 import time
 from fractions import Fraction
 
@@ -136,12 +135,15 @@ class TestAcceptance:
         def grid_best(c, a_ub, b_ub):
             n = len(c)
             best = -np.inf
-            tail = np.array(list(itertools.product(axis, repeat=n - 1)))
+            # One column per grid point's last n - 1 coordinates, in
+            # itertools.product order; rows and objective are formed once.
+            grids = np.meshgrid(*[axis] * (n - 1), indexing="ij", copy=False)
+            tail = np.stack(grids).reshape(n - 1, -1)
+            tail_rows, tail_obj = a_ub[:, 1:] @ tail, c[1:] @ tail
             for v0 in axis:
-                pts = np.column_stack([np.full(len(tail), v0), tail])
-                ok = np.all(pts @ a_ub.T <= b_ub + 1e-9, axis=1)
+                ok = np.all(v0 * a_ub[:, :1] + tail_rows <= b_ub[:, None] + 1e-9, axis=0)
                 if np.any(ok):
-                    best = max(best, float(np.max(pts[ok] @ c)))
+                    best = max(best, float(np.max(v0 * c[0] + tail_obj[ok])))
             return best
 
         for case in range(50):

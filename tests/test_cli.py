@@ -409,6 +409,7 @@ class TestSubcommands:
                 ('{"%s": {"%s": 0.5}}' % (b, k), f"unknown config key {k!r} in block {b!r}")
                 for b, k in (t.split(".") for t in TYPOS)
             ),
+            ('{"output": {"directory": 5}}', "output.directory must be a string"),
         ],
         ids=[
             "missing", "malformed", "not-object", "zero-width", "empty-range", "string-budget",
@@ -416,7 +417,7 @@ class TestSubcommands:
             "string-seed", "negative-seed", "fractional-seed", "seed-2**96",
             *(f"grid-step-{step}" for step in GRID_STEPS),
             *(f"bool-{k}" for k in NUMBER_KEYS), "bool-lam-and-population",
-            *(f"typo-{k}" for k in TYPOS),
+            *(f"typo-{k}" for k in TYPOS), "number-directory",
         ],
     )
     def test_bad_config_is_structured(self, tmp_path, capsys, body, expected):

@@ -1,3 +1,4 @@
+import csv
 import tempfile
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from causalfair.dist import (
     load_tables,
     transition_matrix,
     utility_table,
+    write_csv,
+    write_pair_table,
     write_tables,
 )
 from causalfair.errors import (
@@ -143,6 +146,51 @@ def assert_same_distribution(got, want, rtol):
     assert sorted(got.cf_mass) == sorted(want.cf_mass)
     for aprime, mat in want.cf_mass.items():
         np.testing.assert_allclose(got.cf_mass[aprime], mat, rtol=rtol, atol=0)
+
+
+def _reference_write_csv(path, header, rows):
+    """The per-cell writer that ``write_csv`` replaced: through ``csv.writer``,
+    floats by ``repr`` and every other cell as an int."""
+
+    def cell(x):
+        return repr(float(x)) if isinstance(x, (float, np.floating)) else int(x)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([cell(x) for x in row] for row in rows)
+
+
+def _reference_write_tables(dist, mass_path, cf_path):
+    """``write_tables`` as it was: one row tuple per nonzero entry."""
+    rows = (
+        (dist.group[i], dist.bin[i], y0, y1, dist.outcome_mass[i, y0, y1])
+        for i, y0, y1 in zip(*np.nonzero(dist.outcome_mass > 0))
+    )
+    _reference_write_csv(mass_path, ["group", "bin", "y0", "y1", "mass"], rows)
+    rows = (
+        (aprime, dist.group[i], dist.bin[i], dist.group[j], dist.bin[j], mat[i, j])
+        for aprime, mat in sorted(dist.cf_mass.items())
+        for i, j in zip(*np.nonzero(mat))
+    )
+    _reference_write_csv(cf_path, ["aprime", "i_group", "i_bin", "j_group", "j_bin", "mass"], rows)
+
+
+@st.composite
+def csv_columns(draw):
+    """1-5 equal-length int64, bool or float64 columns of 0-20 rows: ints up
+    to 2**62 in magnitude, and floats that include 1e-05, 1e16, the smallest
+    subnormal and -0.0."""
+    kinds = {
+        np.int64: st.integers(-(2**62), 2**62),
+        np.bool_: st.booleans(),
+        np.float64: st.one_of(st.sampled_from([1e-05, 1e16, 5e-324, -0.0]), st.floats()),
+    }
+    rows = draw(st.integers(0, 20))
+    return [
+        np.array(draw(st.lists(kinds[dtype], min_size=rows, max_size=rows)), dtype=dtype)
+        for dtype in draw(st.lists(st.sampled_from(list(kinds)), min_size=1, max_size=5))
+    ]
 
 
 @st.composite
@@ -439,6 +487,25 @@ class TestDiscretize:
         np.testing.assert_allclose(np.diag(mat)[in_group], d.mass[in_group], atol=1e-12)
 
 
+class TestCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(csv_columns())
+    def test_same_bytes_as_per_cell_reference(self, columns):
+        header = [f"c{k}" for k in range(len(columns))]
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+            write_csv(got, header, columns)
+            _reference_write_csv(want, header, zip(*columns))
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_no_counterfactual_masses_is_header_only(self, tmp_path):
+        d = from_table([(0, 10, 0, 1, 0.5), (1, 20, 1, 1, 0.5)])
+        write_tables(d, tmp_path / "mass.csv", tmp_path / "cf.csv")
+        write_pair_table(tmp_path / "p.csv", d, d.cf_mass, "p")
+        assert (tmp_path / "cf.csv").read_bytes() == b"aprime,i_group,i_bin,j_group,j_bin,mass\r\n"
+        assert (tmp_path / "p.csv").read_bytes() == b"aprime,i_group,i_bin,j_group,j_bin,p\r\n"
+
+
 class TestCsvRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(draw_arrays())
@@ -449,6 +516,9 @@ class TestCsvRoundTrip:
             mass_path, cf_path = Path(tmp, "mass.csv"), Path(tmp, "cf.csv")
             write_tables(d, mass_path, cf_path)
             assert_same_distribution(load_tables(mass_path, cf_path), d, 1e-14)
+            _reference_write_tables(d, Path(tmp, "mass_ref.csv"), Path(tmp, "cf_ref.csv"))
+            for path in (mass_path, cf_path):
+                assert path.read_bytes() == path.with_stem(path.stem + "_ref").read_bytes()
 
     def test_write_then_load(self, tmp_path):
         d = tiny_dist()

@@ -121,7 +121,7 @@ class TestAnalyze:
     def test_edge_threshold(self):
         # A spurious 1e-12 entry must not connect the two classes.
         P = np.array([[1.0 - 1e-12, 1e-12], [0.0, 1.0]])
-        an = analyze([P], tol=1e-9)
+        an = analyze([P])
         assert len(an.classes) == 2
 
 
@@ -194,7 +194,7 @@ class TestAdmissionsChain:
         res = solve_fair(d, FairnessSpec(kind="PSF"), lam=0.25, b=0.5)
         mats = [transition_matrix(d, a) for a in sorted(d.cf_mass)]
         an = analyze(mats)
-        report = check_pi_fair_structure(res.policy, an, tol=1e-6)
+        report = check_pi_fair_structure(res.policy, an)
         assert report["max_within_class_deviation"] <= 1e-9
 
     @pytest.mark.parametrize("width, seed", [(1.0, 1), (0.5, 3)])

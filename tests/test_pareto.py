@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from causalfair.dist import Binning, discretize, from_table, utility_table
 from causalfair.errors import GroupMassZeroError, MultiGroupUnsupportedError
 from causalfair.fairness import FairnessSpec, solve_fair
 from causalfair.pareto import (
-    FrontierPoint,
     Policy,
     ThresholdPolicy,
     _utility_atoms,
@@ -40,6 +41,15 @@ def admissions_dist(n=20000, seed=1):
 # The per-share sweep and the point loop that ``frontier`` and
 # ``dominance_gap`` replaced, kept as their oracles: the array versions must
 # reproduce every coordinate, quantile and gap exactly.
+
+
+def _rows(front):
+    """The sweep's rows as tuples of Python scalars, in ``frontier.csv`` order."""
+    return list(zip(*(getattr(front, f.name).tolist() for f in dataclasses.fields(front))))
+
+
+def _quantiles(front, k):
+    return {0: front.quantile_a0[k], 1: front.quantile_a1[k]}
 
 
 def _reference_cutoff(atoms, q):
@@ -75,6 +85,7 @@ def _reference_evaluate_policy(policy, dist):
 
 
 def _reference_frontier(dist, b, resolution):
+    """Rows (share, quantile_a0, quantile_a1, diversity, graduation, on_frontier)."""
     u0 = utility_table(dist, lam=0.0)
     p1, p0 = dist.group_mass(1), dist.group_mass(0)
     raw = []
@@ -84,19 +95,16 @@ def _reference_frontier(dist, b, resolution):
         policy = _reference_induced_policy(dist, u0, _reference_threshold_policy(dist, u0, q))
         raw.append((s, q, *_reference_evaluate_policy(policy, dist)))
     div_cut = raw[int(np.argmax([g for *_, g in raw]))][2]
-    return [
-        FrontierPoint(diversity=v, graduation=g, quantiles=q, share=s, on_frontier=v >= div_cut - 1e-12)
-        for s, q, v, g in raw
-    ]
+    return [(s, q[0], q[1], v, g, v >= div_cut - 1e-12) for s, q, v, g in raw]
 
 
 def _reference_dominance_gap(policy, dist, b, resolution):
     diversity, graduation = _reference_evaluate_policy(policy, dist)
     best = None
     best_min = 0.0
-    for pt in _reference_frontier(dist, b, resolution):
-        dd = pt.diversity - diversity
-        dg = pt.graduation - graduation
+    for *_, v, g, _ in _reference_frontier(dist, b, resolution):
+        dd = v - diversity
+        dg = g - graduation
         if dd > 0 and dg > 0 and min(dd, dg) > best_min:
             best_min = min(dd, dg)
             best = (dd, dg)
@@ -183,42 +191,37 @@ class TestThresholdPolicy:
 class TestFrontier:
     def test_extreme_share_maximizes_diversity(self):
         d = admissions_dist()
-        points = frontier(d, b=0.5, resolution=50)
-        best_div = max(pt.diversity for pt in points)
-        assert points[-1].share == 1.0
-        assert points[-1].diversity == pytest.approx(best_div, abs=1e-12)
+        front = frontier(d, b=0.5, resolution=50)
+        assert front.share[-1] == 1.0
+        assert front.diversity[-1] == pytest.approx(front.diversity.max(), abs=1e-12)
 
     def test_budget_exhausting(self):
         d = admissions_dist()
         b = 0.5
-        for pt in frontier(d, b, resolution=25):
+        front = frontier(d, b, resolution=25)
+        for k in range(len(front.share)):
             # Reconstruct the policy and check the spent budget equals
             # min(b, admissible mass) for the sweep's quantile split.
             util = utility_table(d, 0.0)
-            tp = threshold_policy(d, util, pt.quantiles)
-            pol = induced_policy(d, util, tp)
+            quantiles = _quantiles(front, k)
+            pol = induced_policy(d, util, threshold_policy(d, util, quantiles))
             spent = float(np.sum(pol.d * d.mass))
-            expected = sum(
-                pt.quantiles[a] * d.group_mass(a) for a in (0, 1)
-            )
+            expected = sum(quantiles[a] * d.group_mass(a) for a in (0, 1))
             assert spent == pytest.approx(expected, abs=1e-12)
             assert spent <= b + 1e-12
 
     def test_graduation_concave_past_peak(self):
         d = admissions_dist()
-        points = frontier(d, b=0.5, resolution=200)
-        grads = np.array([pt.graduation for pt in points])
+        grads = frontier(d, b=0.5, resolution=200).graduation
         peak = int(np.argmax(grads))
         after = grads[peak:]
         assert np.all(np.diff(after) <= 1e-12)
 
     def test_on_frontier_flags(self):
         d = admissions_dist()
-        points = frontier(d, b=0.5, resolution=100)
-        grads = np.array([pt.graduation for pt in points])
-        cut = points[int(np.argmax(grads))].diversity
-        for pt in points:
-            assert pt.on_frontier == (pt.diversity >= cut - 1e-12)
+        front = frontier(d, b=0.5, resolution=100)
+        cut = front.diversity[int(np.argmax(front.graduation))]
+        np.testing.assert_array_equal(front.on_frontier, front.diversity >= cut - 1e-12)
 
     def test_single_group_unsupported(self):
         d = three_atom_dist()
@@ -236,10 +239,10 @@ class TestReferenceSweep:
         assert repr(tp) == repr(_reference_threshold_policy(dist, util, quantiles))
         np.testing.assert_array_equal(induced_policy(dist, util, tp).d, _reference_induced_policy(dist, util, tp).d)
 
-        points = frontier(dist, b, resolution)
+        front = frontier(dist, b, resolution)
         want = _reference_frontier(dist, b, resolution)
-        assert points == want
-        assert repr(points) == repr(want)
+        assert _rows(front) == want
+        assert repr(_rows(front)) == repr(want)
 
         # The reference counts any positive gain; the package drops a point
         # whose smaller gain is rounding noise, at most _SUM_TOL = 1e-12.
@@ -251,13 +254,13 @@ class TestReferenceSweep:
         assert repr(gap) == repr(want)
         # Nothing in the sweep beats a point on the frontier, such as its best
         # graduation or its s = 1 diversity.
-        peak = points[int(np.argmax([pt.graduation for pt in points]))]
-        assert peak.on_frontier and points[-1].on_frontier
-        for pt in points:
-            policy = induced_policy(dist, util, threshold_policy(dist, util, pt.quantiles))
-            if pt.on_frontier:
+        peak, last = int(np.argmax(front.graduation)), resolution
+        assert front.on_frontier[peak] and front.on_frontier[last]
+        for k in range(resolution + 1):
+            policy = induced_policy(dist, util, threshold_policy(dist, util, _quantiles(front, k)))
+            if front.on_frontier[k]:
                 assert dominance_gap(policy, dist, b, resolution) is None
-            if pt in (peak, points[-1]):
+            if k in (peak, last):
                 assert _reference_dominance_gap(policy, dist, b, resolution) is None
 
 
@@ -274,11 +277,10 @@ class TestPolicy:
 class TestDominanceGap:
     def test_frontier_point_not_dominated(self):
         d = admissions_dist()
-        points = frontier(d, b=0.5, resolution=50)
-        grads = np.array([pt.graduation for pt in points])
-        pt = points[int(np.argmax(grads))]
+        front = frontier(d, b=0.5, resolution=50)
+        quantiles = _quantiles(front, int(np.argmax(front.graduation)))
         util = utility_table(d, 0.0)
-        pol = induced_policy(d, util, threshold_policy(d, util, pt.quantiles))
+        pol = induced_policy(d, util, threshold_policy(d, util, quantiles))
         assert dominance_gap(pol, d, b=0.5, resolution=50) is None
 
     def test_constant_policy_dominated(self):
@@ -320,8 +322,7 @@ class TestUtilityEquivariance:
         d = admissions_dist()
         for lam in (0.0, 0.25, 1.0):
             res = solve_fair(d, FairnessSpec(kind="none"), lam=lam, b=0.5)
-            best = -np.inf
-            for pt in frontier(d, 0.5, resolution=400):
-                best = max(best, pt.graduation + lam * pt.diversity)
+            front = frontier(d, 0.5, resolution=400)
+            best = np.max(front.graduation + lam * front.diversity)
             assert res.objective >= best - 1e-9
             assert res.objective <= best + 2e-3  # sweep grid resolution

@@ -208,6 +208,20 @@ class TestDrawWorlds:
                 s1.counterfactual[1][node], s2.counterfactual[1][node]
             )
 
+    def test_decision_node_draws_no_noise(self):
+        # Every other node keeps the Philox stream of its index in dag.nodes.
+        scm = admissions_scm()
+        sample = draw_worlds(scm, SINGLE_PATH, targets=[0, 1], n=50, seed=9)
+        assert set(sample.exogenous) == set(scm.dag.nodes) - {scm.decision_node}
+        for idx, node in enumerate(scm.dag.nodes):
+            if node != scm.decision_node:
+                gen = scm_mod._node_stream(9, idx)
+                uniform = scm.exogenous[node] == "uniform-0-1"
+                want = gen.uniform(0.0, 1.0, 50) if uniform else gen.standard_normal(50)
+                assert np.array_equal(sample.exogenous[node], want)
+        exo = {node: u for node, u in zero_noise(scm).items() if node != scm.decision_node}
+        assert set(evaluate_worlds(scm, SINGLE_PATH, [0, 1], exo).exogenous) == set(exo)
+
     def test_equations_hold_exactly(self):
         scm = admissions_scm()
         sample = draw_worlds(scm, SINGLE_PATH, targets=[1], n=100, seed=5)
