@@ -47,7 +47,7 @@ def load_config(path=None, overrides=None):
     if path is not None:
         try:
             with open(path) as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_constant=_reject_constant)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(raw, dict):
@@ -73,6 +73,10 @@ def load_config(path=None, overrides=None):
     return config
 
 
+def _reject_constant(name):
+    raise ConfigError(f"config value {name} is not a finite number")
+
+
 _NUMBERS = {
     "simulation": ("bin_width", "score_lo", "score_hi"),
     "policy": ("b", "lam", "grid_step"),
@@ -85,8 +89,11 @@ def _validate(config):
     sim = config["simulation"]
     for block, keys in _NUMBERS.items():
         for key in keys:
-            if type(config[block][key]) not in (int, float):  # a bool is not a number
+            value = config[block][key]
+            if type(value) not in (int, float):  # a bool is not a number
                 raise ConfigError(f"config value of the wrong type: {block}.{key} must be a number")
+            if not abs(value) <= sys.float_info.max:  # NaN, infinite or an int past the float range
+                raise ConfigError(f"{block}.{key} must be a finite number")
     if not 0 < pol["b"] < 1:
         raise ConfigError("policy.b must lie in (0, 1)")
     if pol["lam"] < 0:
@@ -99,6 +106,8 @@ def _validate(config):
         raise ConfigError("simulation.bin_width must be positive")
     if not sim["score_lo"] < sim["score_hi"]:
         raise ConfigError("simulation.score_lo must be below simulation.score_hi")
+    if (float(sim["score_hi"]) - sim["score_lo"]) / sim["bin_width"] > dist_mod.MAX_CELLS:
+        raise ConfigError("simulation.bin_width must leave at most 2**24 bins in [score_lo, score_hi]")
     if pol["kind"] not in KINDS:
         raise ConfigError(f"policy.kind must be one of {KINDS}")
     if pol["omega"] not in ("constant", "identity"):
@@ -132,7 +141,8 @@ def build_scm(scm_block):
         raise ConfigError(f"unknown scm key {unknown[0]!r}")
     try:
         if not declared:
-            return scm_mod.admissions_scm(scm_block.get("constants") or None)
+            constants = {k: _number(v) for k, v in (scm_block.get("constants") or {}).items()}
+            return scm_mod.admissions_scm(constants or None)
         nodes = [(spec["name"], spec) for spec in scm_block["nodes"]]
         parents = {name: tuple(spec.get("parents", ())) for name, spec in nodes}
         equations = {name: _equation(spec["equation"]) for name, spec in nodes}
@@ -163,6 +173,8 @@ def _equation(spec):
 def _number(value):
     if type(value) not in (int, float):
         raise TypeError(f"{value!r} is not a number")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{value!r} is not a finite number")
     return float(value)
 
 
@@ -249,11 +261,12 @@ def write_transitions_csv(path, dist):
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
 def _spec_for(kind, pol):
+    """The spec of ``kind``; ``policy.omega`` applies to CPF only."""
     omega = pol["omega"] if kind == "CPF" else None
     return FairnessSpec(kind=kind, omega=omega, grid_step=pol["grid_step"])
 

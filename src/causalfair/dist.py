@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-12
+MAX_CELLS = 2**24  # most (group, bin) cells of a support index, and most configured bins
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,6 @@ class FiniteJointDistribution:
     def y1_joint(self) -> np.ndarray:
         """(n, 2) array of Pr(X = x_i, Y(1) = y)."""
         return self.outcome_mass.sum(axis=1)
-
-    def y0_joint(self) -> np.ndarray:
-        return self.outcome_mass.sum(axis=2)
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,7 @@ def _support_index(group, bin_index):
         raise EmptyInputError("no (group, bin) cells")
     g_lo, b_lo = int(group.min()), int(bin_index.min())
     shape = (int(group.max()) - g_lo + 1, int(bin_index.max()) - b_lo + 1)
-    if shape[0] * shape[1] > 2**24:  # a table of far-apart cells would not fit in memory
+    if shape[0] * shape[1] > MAX_CELLS:
         raise DomainError(f"(group, bin) range {shape} spans more than 2**24 cells")
     cell = (group - g_lo) * shape[1] + (bin_index - b_lo)
     observed = np.flatnonzero(np.bincount(cell, minlength=shape[0] * shape[1]))

@@ -11,11 +11,13 @@ independence stratum (CEO, EO, CPF) sum to zero, and so do a group's two
 outcome rows under CPP, so the last of each such set is implied by the
 others and left out; the feasible set is the one the full set of rows defines.
 
-CF and PSF are solved from the structure of the counterfactual swap chain
-when it is known (see ``psf_rows``): a fair policy is constant on each
+CF and PSF are always solved on the counterfactual swap chain, whatever the
+swap structure (see ``solve_fair``): a fair policy is constant on each
 recurrent class and the absorption-weighted mix of those values on transient
 states, so the LP runs over one variable per class instead of one per
-support point, and its policy is checked against the original rows.
+support point, and its policy is checked against the original rows. EO
+conditions on Y(1), the outcome realized under the always-treat reference
+policy, and ``omega`` strata apply to CPF only.
 """
 
 from __future__ import annotations
@@ -53,11 +55,12 @@ KINDS = ("none", "CF", "PSF", "CEO", "CPF", "CPP", "EO")
 class FairnessSpec:
     """Which definition to enforce, plus its knobs.
 
-    ``omega`` reduces covariates to strata for CPF/PSF: "constant" pools
-    everything and "identity" keeps each support point its own stratum.
-    ``grid_step`` is the spacing of the search lattice for CPP; 1/grid_step
-    must be an integer (within 1e-9 relative), so the lattice reaches both
-    ends, (0, 1) and (1, 0).
+    ``omega`` reduces covariates to strata for CPF, and for CPF only:
+    "constant" (the default) pools everything and "identity" keeps each
+    support point its own stratum. Any other kind given an omega raises
+    ``ValueError``. ``grid_step`` is the spacing of the search lattice for
+    CPP; 1/grid_step must be an integer (within 1e-9 relative), so the
+    lattice reaches both ends, (0, 1) and (1, 0).
     """
 
     kind: str = "none"
@@ -69,9 +72,11 @@ class FairnessSpec:
             raise ValueError(f"unknown fairness kind {self.kind!r}")
         if self.kind == "CPP" and lattice_divisions(self.grid_step) is None:
             raise ValueError("grid_step must lie in (0, 1] and 1/grid_step must be an integer")
-        if self.omega is None:
-            self.omega = "constant" if self.kind == "CPF" else "identity"
-        if self.omega not in ("constant", "identity"):
+        if self.omega is not None and self.kind != "CPF":
+            raise ValueError(f"omega applies to CPF only, not to {self.kind}")
+        if self.kind == "CPF" and self.omega is None:
+            self.omega = "constant"
+        if self.omega not in (None, "constant", "identity"):
             raise ValueError(f"unknown omega {self.omega!r}")
 
 
@@ -91,14 +96,6 @@ class ConstraintRows:
     a: np.ndarray  # (m, n)
     rhs: np.ndarray  # (m,)
     skipped: int = 0
-
-
-def _omega_labels(dist: FiniteJointDistribution, omega) -> np.ndarray:
-    if omega == "identity":
-        return np.arange(dist.n, dtype=np.int64)
-    if omega == "constant":
-        return np.zeros(dist.n, dtype=np.int64)
-    raise ValueError(f"unknown omega {omega!r}")
 
 
 def budget_row(dist: FiniteJointDistribution, b: float):
@@ -138,63 +135,41 @@ def ceo_rows(dist: FiniteJointDistribution) -> ConstraintRows:
     return _independence_rows("CEO", dist, dist.y1_joint())
 
 
-def eo_rows(dist: FiniteJointDistribution, status_quo: str = "always-treat") -> ConstraintRows:
-    """As ``ceo_rows`` but conditioning on the realized outcome under a
-    reference policy: always-treat realizes Y(1), never-treat realizes Y(0)."""
-    if status_quo == "always-treat":
-        joint = dist.y1_joint()
-    elif status_quo == "never-treat":
-        joint = dist.y0_joint()
-    else:
-        raise ValueError(f"unknown status quo {status_quo!r}")
-    return _independence_rows("EO", dist, joint)
+def eo_rows(dist: FiniteJointDistribution) -> ConstraintRows:
+    """As ``ceo_rows`` but conditioning on the outcome realized under the
+    always-treat reference policy, which is Y(1)."""
+    return _independence_rows("EO", dist, dist.y1_joint())
 
 
 def cpf_rows(dist: FiniteJointDistribution, omega="constant") -> ConstraintRows:
     """Equal admission rates across groups within each (Y(0), Y(1), w) cell."""
-    w = _omega_labels(dist, omega)
+    if omega not in ("constant", "identity"):
+        raise ValueError(f"unknown omega {omega!r}")
+    w = np.arange(dist.n) if omega == "identity" else np.zeros(dist.n, dtype=np.int64)
     in_w = w[:, None] == np.arange(w.max() + 1)  # (n, n_w)
     # Strata columns ordered by y0, then y1, then w.
     joint = (dist.outcome_mass[:, :, :, None] * in_w[:, None, None, :]).reshape(dist.n, -1)
     return _independence_rows("CPF", dist, joint)
 
 
-def psf_rows(dist: FiniteJointDistribution, omega="identity", name="PSF") -> ConstraintRows:
-    """Factual and path-specific counterfactual admission rates agree per
-    stratum: sum_i d_i Pr(X=x_i, W=w) = sum_i d_i Pr(X_cf(a')=x_i, W=w).
+def psf_rows(dist: FiniteJointDistribution, name="PSF") -> ConstraintRows:
+    """Factual and path-specific counterfactual admission rates agree with
+    each support point its own stratum: for each swap a' and point i,
+    sum_j d_j (mass_i [i = j] - Pr(X = x_i, X_cf(a') = x_j)) = 0, the row
+    mass_i (e_i - P_a'[i, :]). Rows are ordered by a', then point.
 
     ``name`` labels the family: CF is these rows on the distribution whose
     counterfactuals follow every path. A distribution without counterfactual
     masses raises ``EmptyInputError``. A row whose largest entry is at most
     the mass tolerance ``_SUM_TOL`` is rounding noise (a reloaded own-group
-    swap, say) and counts as skipped.
-
-    Under "identity" the row of point i for a' is mass_i (e_i - P_a'[i, :]),
-    so d satisfies every row iff P_a' d = d for each a'. When all swaps of a
-    point but one leave it in place (its own-group swap is the identity, as
-    with two groups), that is P d = d for the averaged chain P of
-    ``markov.analyze``, whose solutions are the K-dimensional span of its
-    absorption vectors: the rows have rank n - K for K recurrent classes.
-    ``solve_fair`` uses that span as its variables (``_fair_basis``); the
-    rows themselves only check the result, and the full-row LP is kept for
-    the inputs where the span is not known.
+    swap, say) and counts as skipped. ``solve_fair`` carries these rows into
+    the swap chain's absorption space and checks its policy against them.
     """
     if not dist.cf_mass:
         raise EmptyInputError(f"{name} rows need counterfactual masses; the distribution has none")
-    if omega == "identity":  # one stratum per point
-        a = _swap_rows(dist).reshape(-1, dist.n)
-    elif omega == "constant":  # one stratum of every point
-        a = np.vstack([dist.mass - dist.cf_mass[ap].sum(axis=0) for ap in sorted(dist.cf_mass)])
-    else:
-        raise ValueError(f"unknown omega {omega!r}")
+    a = np.vstack([np.diag(dist.mass) - dist.cf_mass[ap] for ap in sorted(dist.cf_mass)])
     noise = np.abs(a).max(axis=1) <= _SUM_TOL
     return ConstraintRows(name, a[~noise], np.zeros(int((~noise).sum())), int(noise.sum()))
-
-
-def _swap_rows(dist: FiniteJointDistribution) -> np.ndarray:
-    """The row mass_i e_i - cf_mass[a'][i, :] of every point i, for each a'
-    in order: (number of swaps, n, n)."""
-    return np.stack([np.diag(dist.mass) - dist.cf_mass[a] for a in sorted(dist.cf_mass)])
 
 
 def cpp_rows(dist: FiniteJointDistribution, C) -> ConstraintRows:
@@ -238,7 +213,7 @@ def constraint_sets(dist, spec: FairnessSpec):
     if spec.kind == "CPF":
         return [cpf_rows(dist, spec.omega)]
     if spec.kind in ("CF", "PSF"):
-        return [psf_rows(dist, spec.omega, spec.kind)]
+        return [psf_rows(dist, spec.kind)]
     if spec.kind == "EO":
         return [eo_rows(dist)]
     raise ValueError(spec.kind)
@@ -248,22 +223,15 @@ def _max_residual(rows: ConstraintRows, d: np.ndarray) -> float:
     return float(np.abs(rows.a @ d - rows.rhs).max(initial=0.0))
 
 
-def _fair_basis(dist: FiniteJointDistribution, spec: FairnessSpec):
-    """The swap chain's analysis, whose absorption columns (n, K) span every
-    policy that satisfies the CF/PSF rows, or None where that is not known.
-
-    It is known under omega "identity" when each point is moved by at most
-    one swap, its row mass_i e_i - cf_mass[a'][i, :] for every other a'
-    being at most ``_SUM_TOL``: two groups whose own-group swap is the
-    identity (see ``psf_rows``). ``utility_table`` has already required
-    every point to carry positive mass, as the transition matrices need.
-    """
-    if spec.kind not in ("CF", "PSF") or spec.omega != "identity":
-        return None
-    moved = (np.abs(_swap_rows(dist)).max(axis=2) > _SUM_TOL).sum(axis=0)
-    if np.any(moved > 1):
-        return None
-    return markov.analyze([transition_matrix(dist, a) for a in sorted(dist.cf_mass)])
+def _swap_chain(dist: FiniteJointDistribution) -> markov.ChainAnalysis:
+    """``markov.analyze`` of the averaged swap chain P, whose absorption
+    columns A must meet P A = A, as the true A does for any swaps: a wrong A
+    would give a feasible but wrong policy that the row check cannot see."""
+    chain = markov.analyze([transition_matrix(dist, a) for a in sorted(dist.cf_mass)])
+    drift = float(np.abs(chain.P @ chain.absorption - chain.absorption).max(initial=0.0))
+    if not drift <= CHECK_TOL:
+        raise SolverError(f"swap chain basis violates its constraints: max |P A - A| = {drift:.3g}")
+    return chain
 
 
 def solve_fair(
@@ -271,39 +239,47 @@ def solve_fair(
 ) -> FairPolicyResult:
     """Maximize expected utility subject to the budget and a fairness kind.
 
-    All kinds except CPP are a single LP. CF and PSF, where ``_fair_basis``
-    gives the absorption columns A, solve it over z in [0, 1]^K with
-    d = A z: maximize (c A) z subject to (mass A) z <= b. Elsewhere the LP
-    is over d with every constraint row. CPP sweeps a lattice over the
-    rejected applicants' Y(1) rates (C_0, C_1), solves one LP per lattice point,
-    and keeps the feasible solution with the largest objective; ties go to
-    the lexicographically smallest lattice point (the sweep visits points in
-    that order and only strict improvements replace the incumbent).
+    CEO, CPF, EO and none are one LP over d with every constraint row. CPP
+    sweeps a lattice over the rejected applicants' Y(1) rates (C_0, C_1),
+    solves one LP per lattice point, and keeps the feasible solution with
+    the largest objective; ties go to the lexicographically smallest point
+    (visited first; only strict improvements replace the incumbent).
 
-    The policy is checked against the original rows and the budget; a
-    violation above ``linprog.CHECK_TOL`` raises ``SolverError``. The
-    result carries the chain analysis that ``_fair_basis`` made, if any, so
+    CF and PSF solve over z in [0, 1]^K with d = A z, A (n, K) the
+    absorption columns of the averaged swap chain P: maximize (c A) z
+    subject to (R A) z = 0 and (mass A) z <= b for R the ``psf_rows``; a
+    row of R A whose largest entry is at most ``_SUM_TOL`` is rounding noise
+    and dropped. This is exact for any swaps. Every row of R is mass_i (e_i - P_a'[i, :]) with
+    mass_i > 0, so d meets all rows iff P_a' d = d for each a'. That implies
+    P d = d, and every solution of P d = d is A z; A z is in [0, 1]^n iff z
+    is in [0, 1]^K, as each row of A is a distribution over the classes and
+    each class has a row of its own. So the feasible set is exactly
+    {A z : z in [0, 1]^K, R A z = 0}.
+
+    The policy is checked against the original rows and the budget, and A
+    against P A = A; a violation above ``linprog.CHECK_TOL`` raises
+    ``SolverError``. The result carries a CF/PSF solve's chain analysis, so
     a caller need not analyze the same chain again.
     """
     c = utility_table(dist, lam).u * dist.mass
     p_row, b_val = budget_row(dist, b)
-    ub_rows = (p_row[None, :], np.array([b_val]))
     if spec.kind == "CPP":
         candidates = ((C, [cpp_rows(dist, C)]) for C in _cpp_grid(spec.grid_step))
     else:
         candidates = [(None, constraint_sets(dist, spec))]
-    chain = _fair_basis(dist, spec)
+    chain = _swap_chain(dist) if spec.kind in ("CF", "PSF") else None
     basis = None if chain is None else chain.absorption
+    c_lp, p_lp = (c, p_row) if basis is None else (c @ basis, p_row @ basis)
 
     best = None
     for C, sets in candidates:
-        if basis is None:
-            a_eq = np.vstack([s.a for s in sets]) if sets else None
-            b_eq = np.concatenate([s.rhs for s in sets]) if sets else None
-            lp = LinearProgram(objective=c, eq_rows=(a_eq, b_eq), ub_rows=ub_rows)
-        else:
-            lp = LinearProgram(objective=c @ basis, ub_rows=(p_row @ basis, [b_val]))
-        sol = solve(lp)
+        a_eq = np.vstack([s.a for s in sets]) if sets else None
+        b_eq = np.concatenate([s.rhs for s in sets]) if sets else None
+        if basis is not None:  # the rows in z, less those left at rounding noise
+            a_eq = a_eq @ basis
+            live = np.abs(a_eq).max(axis=1, initial=0.0) > _SUM_TOL
+            a_eq, b_eq = a_eq[live], b_eq[live]
+        sol = solve(LinearProgram(objective=c_lp, eq_rows=(a_eq, b_eq), ub_rows=(p_lp, [b_val])))
         if sol.status == "Optimal" and (best is None or sol.objective > best[2].objective):
             best = (C, sets, sol)
     if best is None:
@@ -338,7 +314,7 @@ def residual_report(dist: FiniteJointDistribution, policy: Policy, b: float, ome
     sets = [
         ceo_rows(dist),
         cpf_rows(dist, omega),
-        *([psf_rows(dist, "identity")] if dist.cf_mass else []),
+        *([psf_rows(dist)] if dist.cf_mass else []),
         eo_rows(dist),
     ]
     report = []

@@ -13,8 +13,9 @@ The squaring runs in float32 and is exact: an entry of the product of two
 integer of at most n, and float32 holds every integer up to 2**24. A state
 is recurrent when every state it reaches reaches it back; its class is the
 set of states it reaches. The cost is O(n^3 log n), against O(n^2) for a
-graph search on this dense P: at one BLAS thread it is faster at n = 171,
-and about 1.2x slower at n = 335 and 2x slower at n = 648 (see ROADMAP).
+graph search on this dense P: at one BLAS thread on a 2-core machine it was
+faster than a Tarjan search at n = 171, and about 1.2x slower at n = 335 and
+2x slower at n = 648; at n = 1,537 it took 0.97 s of a 6.4 s profiled run.
 """
 
 from __future__ import annotations

@@ -334,11 +334,15 @@ def admissions_scm(constants: dict | None = None) -> Scm:
     """The built-in college-admissions model.
 
     With an empty or omitted map the default constants are used; a non-empty
-    map must supply every constant name (``ADMISSIONS_CONSTANT_NAMES``).
+    map must supply every constant name (``ADMISSIONS_CONSTANT_NAMES``), and
+    a name that is not one of them raises ``ConfigError``.
     """
     if not constants:
         c = dict(_ADMISSIONS_DEFAULTS)
     else:
+        unknown = [k for k in constants if k not in ADMISSIONS_CONSTANT_NAMES]
+        if unknown:
+            raise ConfigError(f"unknown scm constant {unknown[0]!r}")
         missing = set(ADMISSIONS_CONSTANT_NAMES) - set(constants)
         if missing:
             raise MissingConstantError(missing)

@@ -111,7 +111,7 @@ class TestAcceptance:
                 ceo_rows(dist),
                 cpf_rows(dist, "constant"),
                 cpf_rows(dist, "identity"),
-                psf_rows(dist, "identity"),
+                psf_rows(dist),
                 eo_rows(dist),
             ]
             for s in sets:

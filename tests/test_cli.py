@@ -410,6 +410,22 @@ class TestSubcommands:
                 for b, k in (t.split(".") for t in TYPOS)
             ),
             ('{"output": {"directory": 5}}', "output.directory must be a string"),
+            ('{"policy": {"lam": 1e309}}', "policy.lam must be a finite number"),
+            ('{"policy": {"lam": NaN}}', "config value NaN is not a finite number"),
+            ('{"policy": {"b": Infinity}}', "config value Infinity is not a finite number"),
+            ('{"simulation": {"score_lo": -Infinity}}', "config value -Infinity is not a finite number"),
+            ('{"output": {"population": 1e309}}', "output.population must be a finite number"),
+            ('{"output": {"population": 1%s}}' % ("0" * 400), "output.population must be a finite number"),
+            ('{"simulation": {"score_hi": 1e309}}', "simulation.score_hi must be a finite number"),
+            ('{"simulation": {"bin_width": 1e-300}}', "at most 2**24 bins"),
+            ('{"simulation": {"score_lo": -1e308, "score_hi": 1e308}}', "at most 2**24 bins"),
+            ('{"simulation": {"bin_width": 0.5, "score_hi": %d}}' % (2**23 + 1), "at most 2**24 bins"),
+            ('{"scm": {"constants": {"zz": 1}}}', "unknown scm constant 'zz'"),
+            (
+                '{"scm": {"constants": %s}}'
+                % json.dumps(dict.fromkeys(ADMISSIONS_CONSTANT_NAMES, 1.0)).replace("1.0", "1e309", 1),
+                "inf is not a finite number",
+            ),
         ],
         ids=[
             "missing", "malformed", "not-object", "zero-width", "empty-range", "string-budget",
@@ -418,6 +434,9 @@ class TestSubcommands:
             *(f"grid-step-{step}" for step in GRID_STEPS),
             *(f"bool-{k}" for k in NUMBER_KEYS), "bool-lam-and-population",
             *(f"typo-{k}" for k in TYPOS), "number-directory",
+            "overflow-lam", "nan-lam", "infinity-budget", "minus-infinity-lo", "overflow-population",
+            "huge-int-population", "overflow-score-hi", "tiny-width", "overflowing-range",
+            "bins-past-2**24", "unknown-constant", "overflow-constant",
         ],
     )
     def test_bad_config_is_structured(self, tmp_path, capsys, body, expected):
@@ -428,6 +447,10 @@ class TestSubcommands:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and expected in err["message"]
+
+    def test_json_output_refuses_non_finite_numbers(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli._write_json(tmp_path / "x.json", {"objective": float("nan")})
 
     @staticmethod
     def _run_without_cf(tmp_path, capsys, kind, command):

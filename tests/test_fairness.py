@@ -7,12 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalfair import cli, fairness, linprog, markov
-from causalfair.dist import from_table, load_tables, transition_matrix, utility_table, write_tables
+from causalfair.dist import from_table, load_tables, utility_table, write_tables
 from causalfair.errors import EmptyInputError, SolverError
 from causalfair.fairness import (
     FairnessSpec,
     _cpp_grid,
-    _fair_basis,
     budget_row,
     ceo_rows,
     cpf_rows,
@@ -229,7 +228,7 @@ class TestPsfRows:
             (1, 1, 2, 1, 2, 0.5),
         ]
         d = from_table(rows, cf_rows)
-        out = psf_rows(d, "identity")
+        out = psf_rows(d)
         assert out.a.shape[0] == 0
         assert out.skipped == 4
 
@@ -244,14 +243,14 @@ class TestPsfRows:
             (1, 1, 3, 1, 3, 0.25),
         ]
         d = from_table(rows, cf_rows)
-        out = psf_rows(d, "identity")
+        out = psf_rows(d)
         assert out.a.shape[0] == 1
         row = out.a[0] / out.a[0][0]
         np.testing.assert_allclose(row, [1.0, -0.5, -0.5])
 
     def test_no_counterfactual_masses(self):
         with pytest.raises(EmptyInputError):
-            psf_rows(two_point_uniform(), "identity")
+            psf_rows(two_point_uniform())
 
     @pytest.mark.parametrize("width", [1.0, 0.5])
     def test_reloaded_tables_skip_the_same_rows(self, tmp_path, width):
@@ -269,7 +268,7 @@ class TestPsfRows:
     def test_constant_policy_zero_residual(self):
         rng = np.random.default_rng(6)
         d = random_dist(rng)
-        out = psf_rows(d, "identity")
+        out = psf_rows(d)
         resid = out.a @ np.full(d.n, 0.41) - out.rhs
         assert np.max(np.abs(resid)) <= 1e-14
 
@@ -306,27 +305,7 @@ class TestEoRows:
     def test_always_treat_matches_ceo(self):
         rng = np.random.default_rng(8)
         d = random_dist(rng, with_cf=False)
-        np.testing.assert_allclose(eo_rows(d, "always-treat").a, ceo_rows(d).a)
-
-    def test_never_treat_uses_y0(self):
-        # All Y(0) = 0: conditioning on realized Y under never-treat leaves
-        # a single stratum, unlike the Y(1) rows.
-        rows = [
-            (0, 1, 0, 1, 0.3),
-            (0, 2, 0, 0, 0.2),
-            (1, 1, 0, 1, 0.3),
-            (1, 2, 0, 0, 0.2),
-        ]
-        d = from_table(rows)
-        eo = eo_rows(d, "never-treat")
-        ceo = ceo_rows(d)
-        assert eo.a.shape[0] < ceo.a.shape[0] or not np.allclose(
-            eo.a.shape, ceo.a.shape
-        ) or not np.allclose(eo.a, ceo.a)
-
-    def test_unknown_status_quo(self):
-        with pytest.raises(ValueError):
-            eo_rows(two_point_uniform(), "half")
+        np.testing.assert_allclose(eo_rows(d).a, ceo_rows(d).a)
 
 
 class TestRowSpace:
@@ -337,8 +316,7 @@ class TestRowSpace:
         # both span the same rows, so both define the same feasible set.
         families = [
             (ceo_rows(dist), dist.y1_joint()),
-            (eo_rows(dist, "always-treat"), dist.y1_joint()),
-            (eo_rows(dist, "never-treat"), dist.y0_joint()),
+            (eo_rows(dist), dist.y1_joint()),
             (cpf_rows(dist, "constant"), _reference_cpf_joint(dist, "constant")),
             (cpf_rows(dist, "identity"), _reference_cpf_joint(dist, "identity")),
         ]
@@ -361,6 +339,11 @@ class TestFairnessSpec:
             FairnessSpec(kind="CPF", omega="bogus")
         with pytest.raises(ValueError, match="omega"):
             cpf_rows(two_point_uniform(), "bogus")
+
+    @pytest.mark.parametrize("kind,omega", [("PSF", "constant"), ("CF", "identity"), ("CEO", "constant")])
+    def test_omega_applies_to_cpf_only(self, kind, omega):
+        with pytest.raises(ValueError, match="omega applies to CPF only"):
+            FairnessSpec(kind=kind, omega=omega)
 
     @pytest.mark.parametrize("step", [0.6, 0.7, 0.3, 0.0, 1.5])
     def test_cpp_grid_step_must_divide_one(self, step):
@@ -439,7 +422,7 @@ class TestSolveFair:
     def test_rows_linear_in_d(self):
         rng = np.random.default_rng(14)
         d = random_dist(rng)
-        for rows in (ceo_rows(d), cpf_rows(d, "constant"), psf_rows(d, "identity")):
+        for rows in (ceo_rows(d), cpf_rows(d, "constant"), psf_rows(d)):
             if rows.a.shape[0] == 0:
                 continue
             x = rng.uniform(0, 1, d.n)
@@ -472,14 +455,16 @@ def _reference_psf_solve(dist, lam, b):
 
 @st.composite
 def chain_distributions(draw):
-    """Two groups whose own-group swap is the identity. A recurrent point's
-    foreign swap stays inside its block, so each of the 1-4 blocks is a
-    recurrent class; each of the 1-3 transient points splits its swap over
-    points of one or more blocks and maybe other transient points. With two
+    """Two groups and at most 13 points. A recurrent point's swaps stay
+    inside its block, so each of the 1-3 blocks is a recurrent class; each
+    transient point's foreign swap splits over points of one or more blocks
+    and maybe other transient points. A point's own-group swap is the
+    identity or, at random, moves some or all of it to one point: within
+    its block for a recurrent point, anywhere for a transient one. With two
     or more blocks, the first may carry a mass of about 1e-5 in all."""
-    n_blocks = draw(st.integers(1, 4))
+    n_blocks = draw(st.integers(1, 3))
     points = [(g, k) for k in range(n_blocks) for g in (0, 1) for _ in range(draw(st.integers(1, 2)))]
-    points += [(draw(st.integers(0, 1)), -1) for _ in range(draw(st.integers(1, 3)))]
+    points += [(draw(st.integers(0, 1)), -1) for _ in range(draw(st.integers(1, min(3, 13 - len(points)))))]
     points.sort(key=lambda p: p[0])  # support order: group, then bin
     group, block = np.array(points).T
     n = len(points)
@@ -506,6 +491,12 @@ def chain_distributions(draw):
             w[~other] = 0.0
             w[draw(st.sampled_from(np.flatnonzero(other & (block >= 0)).tolist()))] += 0.1
         cf[1 - group[i]][i] = dist.mass[i] * w / w.sum()
+        if draw(st.booleans()):  # the own-group swap moves the point too
+            j = draw(st.sampled_from(np.flatnonzero((block == block[i]) | (block[i] < 0)).tolist()))
+            stay = draw(st.sampled_from([0.0, 0.5, 0.9]))
+            cf[group[i]][i] = 0.0
+            cf[group[i]][i, i] += stay * dist.mass[i]
+            cf[group[i]][i, j] += (1 - stay) * dist.mass[i]
     dist.cf_mass = cf
     dist.validate()
     return dist
@@ -515,42 +506,31 @@ class TestChainSolve:
     @settings(max_examples=200, deadline=None)
     @given(chain_distributions(), st.floats(0.05, 1.0), st.floats(0.05, 0.95))
     def test_matches_full_row_lp(self, dist, lam, b):
-        spec = FairnessSpec(kind="PSF")
-        assert _fair_basis(dist, spec) is not None
-        res = solve_fair(dist, spec, lam=lam, b=b)
+        with pytest.MonkeyPatch.context() as mp:
+            widths = _lp_widths(mp)
+            res = solve_fair(dist, FairnessSpec(kind="PSF"), lam=lam, b=b)
+        analysis = res.chain
+        assert widths == [len(analysis.classes)]
         ref = _reference_psf_solve(dist, lam, b)
         assert res.status == ref.status == "Optimal"
         assert abs(res.objective - ref.objective) <= 1e-9
         d = res.policy.d
         assert np.abs(psf_rows(dist).a @ d).max() <= linprog.CHECK_TOL
         assert dist.mass @ d <= b + linprog.CHECK_TOL
-        analysis = markov.analyze([transition_matrix(dist, a) for a in (0, 1)])
         assert analysis.transient
         if len(analysis.classes) == 1:
             assert np.abs(d - b).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", [10, 11])
-    def test_two_moving_swaps_take_the_full_row_lp(self, monkeypatch, seed):
-        # random_dist moves every point under both swaps, so P d = d for the
-        # averaged chain no longer implies each P_a' d = d.
+    def test_two_moving_swaps_take_the_chain_lp(self, monkeypatch, seed):
+        # random_dist moves every point under both swaps, so the rows of
+        # both swaps bind; the chain LP still has one variable per class.
         dist = random_dist(np.random.default_rng(seed))
         widths = _lp_widths(monkeypatch)
         res = solve_fair(dist, FairnessSpec(kind="PSF"), lam=0.25, b=0.5)
-        assert widths == [dist.n]
+        assert widths == [len(res.chain.classes)]
         assert res.objective == pytest.approx(PARENT_OBJECTIVES[("random", seed)], abs=1e-12)
         assert res.objective == pytest.approx(_reference_psf_solve(dist, 0.25, 0.5).objective, abs=1e-15)
-
-    @pytest.mark.parametrize("which", ["pi", "all"])
-    def test_constant_omega_takes_the_full_row_lp(self, monkeypatch, which):
-        config = cli.load_config(None, {("simulation", "n"): 20000})
-        dist = dict(zip(("pi", "all"), cli.simulate(config)))[which]
-        widths = _lp_widths(monkeypatch)
-        res = solve_fair(dist, FairnessSpec(kind="PSF", omega="constant"), lam=0.25, b=0.5)
-        assert widths == [dist.n]
-        assert res.objective == pytest.approx(PARENT_OBJECTIVES[("constant", which)], abs=1e-12)
-        # The same distribution under omega "identity" takes the chain solve.
-        solve_fair(dist, FairnessSpec(kind="PSF"), lam=0.25, b=0.5)
-        assert widths[1] < 5
 
     def test_perturbed_absorption_raises(self, monkeypatch):
         config = cli.load_config(None, {("simulation", "n"): 20000})
@@ -572,14 +552,11 @@ class TestChainSolve:
         assert err["error"] == "SolverError" and "violates its constraints" in err["message"]
 
 
-# Objectives of the full-row LP before the chain solve, at lam 0.25 and b 0.5:
-# random_dist seeds 10 and 11, and omega "constant" on both distributions of
-# cli.simulate at n = 20000 and the default seed.
+# Objectives of the full-row LP before the chain solve took every swap
+# structure, at lam 0.25 and b 0.5 on random_dist seeds 10 and 11.
 PARENT_OBJECTIVES = {
     ("random", 10): 0.3828504068486918,
     ("random", 11): 0.4223645438592575,
-    ("constant", "pi"): 0.42516806890355885,
-    ("constant", "all"): 0.42925991270810715,
 }
 
 
